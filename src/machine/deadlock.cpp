@@ -1,5 +1,6 @@
 #include "machine/deadlock.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -40,36 +41,136 @@ std::size_t stale_pending(const Mailbox& mb, std::uint32_t max_epoch) {
 }
 
 DeadlockDetector::DeadlockDetector(std::vector<Mailbox*> mailboxes)
-    : mailboxes_(std::move(mailboxes)), ranks_(mailboxes_.size()) {}
+    : mailboxes_(std::move(mailboxes)),
+      ranks_(mailboxes_.size()),
+      first_waiter_(mailboxes_.size(), -1),
+      visit_(mailboxes_.size(), 0) {}
 
 void DeadlockDetector::reset() {
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& r : ranks_) {
     r = RankState{};
   }
+  std::fill(first_waiter_.begin(), first_waiter_.end(), -1);
+  std::fill(visit_.begin(), visit_.end(), 0);
+  walk_ = 0;
+  any_source_waiters_ = 0;
+  tripped_ = false;
 }
 
 void DeadlockDetector::enter_wait(int rank, int src, int tag) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto& rs = ranks_[static_cast<std::size_t>(rank)];
+  unlink_wait_locked(rank);
+  auto& rs = state(rank);
   rs.state = State::kWaiting;
   rs.want_src = src;
   rs.want_tag = tag;
-  check_locked();
+  link_wait_locked(rank);
+  if (!local_check_ok_locked() || !chain_live_locked(rank)) {
+    check_locked();
+    return;
+  }
+  cross_check_locked();
 }
 
 void DeadlockDetector::leave_wait(int rank) {
   std::lock_guard<std::mutex> lk(mu_);
-  ranks_[static_cast<std::size_t>(rank)].state = State::kRunning;
+  unlink_wait_locked(rank);
+  state(rank).state = State::kRunning;
 }
 
 void DeadlockDetector::mark_done(int rank) {
   std::lock_guard<std::mutex> lk(mu_);
-  ranks_[static_cast<std::size_t>(rank)].state = State::kDone;
-  check_locked();
+  unlink_wait_locked(rank);
+  state(rank).state = State::kDone;
+  if (!local_check_ok_locked()) {
+    check_locked();
+    return;
+  }
+  // Every chain that ended at this rank passes one of its direct waiters,
+  // and those stay live exactly when their match is already queued.
+  for (int w = first_waiter_[static_cast<std::size_t>(rank)]; w >= 0;
+       w = state(w).next_waiter) {
+    if (!mailbox(w).probe(rank, state(w).want_tag)) {
+      check_locked();
+      return;
+    }
+  }
+  cross_check_locked();
 }
 
-void DeadlockDetector::check_locked() {
+void DeadlockDetector::link_wait_locked(int rank) {
+  auto& rs = state(rank);
+  if (rs.want_src == kAnySource) {
+    ++any_source_waiters_;
+    return;
+  }
+  if (rs.want_src < 0 || rs.want_src >= static_cast<int>(ranks_.size())) {
+    return;  // no rank can feed it; the chain walk flags it
+  }
+  int& head = first_waiter_[static_cast<std::size_t>(rs.want_src)];
+  rs.prev_waiter = -1;
+  rs.next_waiter = head;
+  if (head >= 0) {
+    state(head).prev_waiter = rank;
+  }
+  head = rank;
+}
+
+void DeadlockDetector::unlink_wait_locked(int rank) {
+  auto& rs = state(rank);
+  if (rs.state != State::kWaiting) {
+    return;
+  }
+  if (rs.want_src == kAnySource) {
+    --any_source_waiters_;
+    return;
+  }
+  if (rs.want_src < 0 || rs.want_src >= static_cast<int>(ranks_.size())) {
+    return;
+  }
+  if (rs.prev_waiter >= 0) {
+    state(rs.prev_waiter).next_waiter = rs.next_waiter;
+  } else {
+    first_waiter_[static_cast<std::size_t>(rs.want_src)] = rs.next_waiter;
+  }
+  if (rs.next_waiter >= 0) {
+    state(rs.next_waiter).prev_waiter = rs.prev_waiter;
+  }
+  rs.prev_waiter = -1;
+  rs.next_waiter = -1;
+}
+
+bool DeadlockDetector::local_check_ok_locked() const {
+  return any_source_waiters_ == 0 && !tripped_;
+}
+
+bool DeadlockDetector::chain_live_locked(int rank) {
+  const int n = static_cast<int>(ranks_.size());
+  if (++walk_ == 0) {  // stamp wrapped: clear the stale marks
+    std::fill(visit_.begin(), visit_.end(), 0);
+    walk_ = 1;
+  }
+  for (int r = rank;;) {
+    const auto& rs = state(r);
+    if (rs.state == State::kRunning) {
+      return true;
+    }
+    if (rs.state == State::kDone) {
+      return false;
+    }
+    if (mailbox(r).probe(rs.want_src, rs.want_tag)) {
+      return true;
+    }
+    visit_[static_cast<std::size_t>(r)] = walk_;
+    r = rs.want_src;
+    if (r < 0 || r >= n || visit_[static_cast<std::size_t>(r)] == walk_) {
+      return false;
+    }
+  }
+}
+
+bool DeadlockDetector::find_stuck_locked(std::vector<bool>& stuck) const {
   const int n = static_cast<int>(ranks_.size());
   // Seed the live set: running ranks can still send, and a waiter whose
   // match is already queued will pop it and run again.  Done ranks are not
@@ -82,14 +183,13 @@ void DeadlockDetector::check_locked() {
       live[static_cast<std::size_t>(r)] = true;
     } else if (rs.state == State::kWaiting) {
       any_waiting = true;
-      if (mailboxes_[static_cast<std::size_t>(r)]->probe(rs.want_src,
-                                                         rs.want_tag)) {
+      if (mailbox(r).probe(rs.want_src, rs.want_tag)) {
         live[static_cast<std::size_t>(r)] = true;
       }
     }
   }
   if (!any_waiting) {
-    return;
+    return false;
   }
   // Propagate: a waiter is live if the rank it expects could still feed it
   // (for kAnySource, if any other rank could).  A source outside [0, n) can
@@ -119,7 +219,7 @@ void DeadlockDetector::check_locked() {
       }
     }
   }
-  std::vector<bool> stuck(static_cast<std::size_t>(n), false);
+  stuck.assign(static_cast<std::size_t>(n), false);
   bool any_stuck = false;
   for (int r = 0; r < n; ++r) {
     if (ranks_[static_cast<std::size_t>(r)].state == State::kWaiting &&
@@ -128,9 +228,24 @@ void DeadlockDetector::check_locked() {
       any_stuck = true;
     }
   }
-  if (any_stuck) {
+  return any_stuck;
+}
+
+void DeadlockDetector::check_locked() {
+  std::vector<bool> stuck;
+  if (find_stuck_locked(stuck)) {
+    tripped_ = true;
     throw Error(dump_locked(stuck));
   }
+}
+
+void DeadlockDetector::cross_check_locked() const {
+#if defined(KALI_CHECK_INVARIANTS)
+  std::vector<bool> stuck;
+  KALI_INVARIANT(!find_stuck_locked(stuck),
+                 "deadlock detector: the local check missed a stuck rank "
+                 "that the full fixed point finds");
+#endif
 }
 
 std::string DeadlockDetector::dump_locked(

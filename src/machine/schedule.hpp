@@ -35,6 +35,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <span>
 #include <vector>
 
@@ -170,22 +171,62 @@ inline int member_index(std::span<const int> members, int rank) {
   return static_cast<int>(it - members.begin());
 }
 
+/// A sorted communicator as the schedule code sees it, in ProcView's terms:
+/// its member count, the dense index of a member rank, and the rank at a
+/// dense index.  A materialized list (RankList) is one; a ProcView, whose
+/// members ascend in row-major order, is another and answers both lookups
+/// in O(1) without listing its P ranks.
+template <class M>
+concept MemberSequence = requires(const M& m, int i) {
+  { m.count() } -> std::convertible_to<int>;
+  { m.linear_index_of(i) } -> std::convertible_to<int>;
+  { m.rank_at(i) } -> std::convertible_to<int>;
+};
+
+/// A sorted rank list (e.g. union_members' result) as a MemberSequence.
+class RankList {
+ public:
+  explicit RankList(std::span<const int> ranks) : ranks_(ranks) {}
+  [[nodiscard]] int count() const { return static_cast<int>(ranks_.size()); }
+  [[nodiscard]] int linear_index_of(int rank) const {
+    return member_index(ranks_, rank);
+  }
+  [[nodiscard]] int rank_at(int i) const {
+    return ranks_[static_cast<std::size_t>(i)];
+  }
+
+ private:
+  std::span<const int> ranks_;
+};
+
+/// `members` as a MemberSequence: itself if it is one, else a RankList
+/// over it (a sorted std::vector<int> or span).
+template <class Members>
+auto as_member_sequence(const Members& members) {
+  if constexpr (MemberSequence<Members>) {
+    return members;
+  } else {
+    return RankList(std::span<const int>(members));
+  }
+}
+
 /// Reorder per-peer messages (machine rank, payload) into round order for
 /// `self_rank` within the sorted communicator `members`.  kPeerOrder leaves
 /// the enumeration order untouched.  Self-messages must have been peeled
 /// off into local copies before this point.
-template <class Payload>
+template <class Payload, class Members>
 void round_sort(std::vector<std::pair<int, Payload>>& msgs,
-                std::span<const int> members, int self_rank, IssueOrder order) {
+                const Members& members, int self_rank, IssueOrder order) {
   if (order == IssueOrder::kPeerOrder || msgs.size() < 2) {
     return;
   }
-  const CommSchedule sched(static_cast<int>(members.size()));
-  const int me = member_index(members, self_rank);
+  const auto seq = as_member_sequence(members);
+  const CommSchedule sched(seq.count());
+  const int me = seq.linear_index_of(self_rank);
   std::stable_sort(msgs.begin(), msgs.end(),
                    [&](const auto& a, const auto& b) {
-                     return sched.round_of(me, member_index(members, a.first)) <
-                            sched.round_of(me, member_index(members, b.first));
+                     return sched.round_of(me, seq.linear_index_of(a.first)) <
+                            sched.round_of(me, seq.linear_index_of(b.first));
                    });
 }
 
@@ -198,19 +239,20 @@ void round_sort(std::vector<std::pair<int, Payload>>& msgs,
 /// block until it is consumed.  Every ordered pair of members meets in
 /// exactly one round, so the sorted union communicator gives both endpoints
 /// the same round for each transfer without any extra synchronization.
-template <class Out, class In, class SendFn, class RecvFn>
-void lockstep_rounds(std::span<const int> members, int self_rank,
+template <class Members, class Out, class In, class SendFn, class RecvFn>
+void lockstep_rounds(const Members& members, int self_rank,
                      std::vector<std::pair<int, Out>>& out,
                      std::vector<std::pair<int, In>>& in, SendFn&& send_one,
                      RecvFn&& recv_one) {
-  const CommSchedule sched(static_cast<int>(members.size()));
-  const int me = member_index(members, self_rank);
+  const auto seq = as_member_sequence(members);
+  const CommSchedule sched(seq.count());
+  const int me = seq.linear_index_of(self_rank);
   for (int r = 0; r < sched.rounds(); ++r) {
     const int p = sched.partner(r, me);
     if (p == me) {
       continue;
     }
-    const int prank = members[static_cast<std::size_t>(p)];
+    const int prank = seq.rank_at(p);
     for (auto& [rank, payload] : out) {
       if (rank == prank) {
         send_one(rank, payload);
@@ -234,9 +276,9 @@ void lockstep_rounds(std::span<const int> members, int self_rank,
 /// computes at the end.  `charge_sends`/`charge_recvs` are thunks so each
 /// caller keeps its own accounting; on a member with nothing to send or
 /// receive the corresponding steps are no-ops (compute(0) included).
-template <class Out, class In, class SendFn, class RecvFn, class ChargeS,
-          class ChargeR>
-void issue_exchange(std::span<const int> members, int self_rank,
+template <class Members, class Out, class In, class SendFn, class RecvFn,
+          class ChargeS, class ChargeR>
+void issue_exchange(const Members& members, int self_rank,
                     IssueOrder order, std::vector<std::pair<int, Out>>& out,
                     std::vector<std::pair<int, In>>& in, SendFn&& send_one,
                     RecvFn&& recv_one, ChargeS&& charge_sends,

@@ -998,8 +998,6 @@ class DistArray {
       }
     }
 
-    std::vector<int> members = view_.ranks();
-    std::sort(members.begin(), members.end());
     std::vector<T> buf;
     double packed = 0;
     double unpacked = 0;
@@ -1039,7 +1037,7 @@ class DistArray {
         unpacked += static_cast<double>(k);
       };
       detail::issue_exchange(
-          members, ctx_->rank(), order, out, in, send_one, recv_one,
+          view_, ctx_->rank(), order, out, in, send_one, recv_one,
           [&] { ctx_->compute(packed); }, [&] { ctx_->compute(unpacked); });
       return;
     }
@@ -1092,7 +1090,7 @@ class DistArray {
       unpacked += static_cast<double>(k);
     };
     detail::issue_exchange(
-        members, ctx_->rank(), order, gout, gin, send_one, recv_one,
+        view_, ctx_->rank(), order, gout, gin, send_one, recv_one,
         [&] { ctx_->compute(packed); }, [&] { ctx_->compute(unpacked); });
   }
 

@@ -165,6 +165,17 @@ int ProcView::linear_index_of(int rank) const {
   return idx;
 }
 
+int ProcView::rank_at(int index) const {
+  KALI_CHECK(index >= 0 && index < count(), "rank_at: index out of range");
+  int r = base_;
+  for (int d = ndims_ - 1; d >= 0; --d) {
+    const auto ud = static_cast<std::size_t>(d);
+    r += (index % extents_[ud]) * strides_[ud];
+    index /= extents_[ud];
+  }
+  return r;
+}
+
 Group ProcView::group(int self_rank) const { return Group(ranks(), self_rank); }
 
 bool operator==(const ProcView& a, const ProcView& b) {

@@ -60,7 +60,16 @@ class ProcView {
   [[nodiscard]] std::vector<int> ranks() const;
 
   /// Row-major linear index of `rank` within the view (must be a member).
+  /// Views are built from grid1/2/3 by fix and sub, which keep every stride
+  /// at least the span of the dimensions after it, so ranks() ascends: the
+  /// linear index is also the rank's dense index in the sorted member list,
+  /// and a view serves directly as a round schedule's sorted communicator
+  /// (machine/schedule.hpp MemberSequence).
   [[nodiscard]] int linear_index_of(int rank) const;
+
+  /// The member at row-major linear index `index` (0 <= index < count()):
+  /// ranks()[index] without building the list.
+  [[nodiscard]] int rank_at(int index) const;
 
   /// Communication group over this view's members (self must be a member).
   [[nodiscard]] Group group(int self_rank) const;

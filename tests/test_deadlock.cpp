@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "machine/context.hpp"
+#include "machine/deadlock.hpp"
 #include "machine/machine.hpp"
 #include "machine/message.hpp"
 #include "support/check.hpp"
@@ -22,6 +23,52 @@ MachineConfig quiet_config() {
   cfg.recv_timeout_wall = 10.0;  // far fallback; detection must beat it
   return cfg;
 }
+
+/// Number of non-overlapping occurrences of `needle` in `hay`.
+int count_of(const std::string& hay, const std::string& needle) {
+  int n = 0;
+  for (auto pos = hay.find(needle); pos != std::string::npos;
+       pos = hay.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// Deposit an empty message from `src` on `tag` (a queued match).
+void push_from(Mailbox& mb, int src, int tag) {
+  Message msg;
+  msg.src = src;
+  msg.tag = tag;
+  mb.push(std::move(msg));
+}
+
+/// A detector over `n` standalone mailboxes, driven event by event so a
+/// test controls exactly which registration or retirement trips it.
+struct DetectorRig {
+  explicit DetectorRig(int n)
+      : boxes(static_cast<std::size_t>(n)), detector(pointers(boxes)) {}
+
+  static std::vector<Mailbox*> pointers(std::vector<Mailbox>& boxes) {
+    std::vector<Mailbox*> out;
+    for (auto& b : boxes) {
+      out.push_back(&b);
+    }
+    return out;
+  }
+
+  /// The detector's diagnostic from `event`, or "" if it did not throw.
+  static std::string error_of(const std::function<void()>& event) {
+    try {
+      event();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return {};
+  }
+
+  std::vector<Mailbox> boxes;
+  DeadlockDetector detector;
+};
 
 std::string run_expecting_error(Machine& m,
                                 const std::function<void(Context&)>& prog) {
@@ -162,6 +209,175 @@ TEST(Deadlock, DisabledDetectionFallsBackToWallClockTimeout) {
   });
   EXPECT_NE(what.find("timed out"), std::string::npos) << what;
   EXPECT_NE(what.find("detection is disabled"), std::string::npos) << what;
+}
+
+// --- the chain walk and the per-source waiter lists, event by event -----
+
+TEST(Deadlock, ChainOf64CaughtWhenTheTailRetires) {
+  // Rank r waits on r + 1; rank 63 returns without sending.  Every
+  // registration reaches the running tail (no throw), and retiring it
+  // strands the whole chain: all 63 waiters are STUCK in the dump.
+  constexpr int kP = 64;
+  DetectorRig rig(kP);
+  for (int r = kP - 2; r >= 0; --r) {
+    EXPECT_NO_THROW(rig.detector.enter_wait(r, r + 1, /*tag=*/5)) << r;
+  }
+  const std::string what =
+      DetectorRig::error_of([&] { rig.detector.mark_done(kP - 1); });
+  EXPECT_NE(what.find("wait-for-graph check: 63 rank(s)"), std::string::npos)
+      << what;
+  EXPECT_EQ(count_of(what, "STUCK"), kP - 1) << what;
+  for (int r = 0; r < kP - 1; ++r) {
+    const std::string line = "rank " + std::to_string(r) +
+                             ": STUCK in recv(src=" + std::to_string(r + 1) +
+                             ", tag=5";
+    EXPECT_NE(what.find(line), std::string::npos) << line;
+  }
+  EXPECT_NE(what.find("rank 63: done"), std::string::npos) << what;
+}
+
+TEST(Deadlock, ChainOf64CaughtMachineWide) {
+  // The same chain on a machine: whichever event closes it (rank 63's
+  // retirement or a late registration), rank 62 waits on a rank that will
+  // never send and is named STUCK.
+  Machine m(64, quiet_config());
+  const std::string what = run_expecting_error(m, [](Context& ctx) {
+    if (ctx.rank() < ctx.nprocs() - 1) {
+      (void)ctx.recv<int>(ctx.rank() + 1, /*tag=*/5);
+    }
+  });
+  EXPECT_NE(what.find("wait-for-graph"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 62: STUCK in recv(src=63, tag=5"),
+            std::string::npos)
+      << what;
+}
+
+TEST(Deadlock, QueuedMatchMidwayKeepsTheChainLive) {
+  // A 64-rank ring of waiters, closed by the last registration, where rank
+  // 32's match is already queued: rank 32 will pop it and run, so every
+  // chain through it is live and nothing may be flagged — nor when rank 32
+  // then feeds rank 31 and retires.
+  constexpr int kP = 64;
+  DetectorRig rig(kP);
+  push_from(rig.boxes[32], /*src=*/33, /*tag=*/5);
+  for (int r = 0; r < kP; ++r) {
+    EXPECT_NO_THROW(rig.detector.enter_wait(r, (r + 1) % kP, /*tag=*/5))
+        << r;
+  }
+  // Rank 32 wakes, pops, and sends on to 31; rank 31 wakes likewise.
+  rig.detector.leave_wait(32);
+  push_from(rig.boxes[31], /*src=*/32, /*tag=*/5);
+  EXPECT_NO_THROW(rig.detector.mark_done(32));
+}
+
+TEST(Deadlock, RingOf64ClosedByTheLastRegistration) {
+  // 63 registrations chain down to the one running rank; the 64th makes
+  // the chain a ring with no queued match — caught at that enter_wait.
+  constexpr int kP = 64;
+  DetectorRig rig(kP);
+  for (int r = 0; r < kP - 1; ++r) {
+    EXPECT_NO_THROW(rig.detector.enter_wait(r, r + 1, /*tag=*/9)) << r;
+  }
+  const std::string what = DetectorRig::error_of(
+      [&] { rig.detector.enter_wait(kP - 1, 0, /*tag=*/9); });
+  EXPECT_NE(what.find("wait-for-graph check: 64 rank(s)"), std::string::npos)
+      << what;
+  EXPECT_EQ(count_of(what, "STUCK"), kP) << what;
+  EXPECT_NE(what.find("rank 63: STUCK in recv(src=0, tag=9"),
+            std::string::npos)
+      << what;
+}
+
+TEST(Deadlock, OutOfRangeSourceCaughtAtOnce) {
+  for (const int src : {4, 100, -7}) {
+    SCOPED_TRACE(src);
+    DetectorRig rig(4);
+    const std::string what = DetectorRig::error_of(
+        [&] { rig.detector.enter_wait(1, src, /*tag=*/5); });
+    EXPECT_NE(what.find("rank 1: STUCK in recv(src=" + std::to_string(src)),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(count_of(what, "STUCK"), 1) << what;
+  }
+  // A queued match still keeps such a waiter live (it can pop it).
+  DetectorRig rig(4);
+  push_from(rig.boxes[1], /*src=*/4, /*tag=*/5);
+  EXPECT_NO_THROW(rig.detector.enter_wait(1, 4, /*tag=*/5));
+}
+
+TEST(Deadlock, MixedAnySourceAndSpecificWaiters) {
+  DetectorRig rig(4);
+  // A wildcard waiter is live while any other rank can still send.
+  EXPECT_NO_THROW(rig.detector.enter_wait(0, kAnySource, /*tag=*/5));
+  EXPECT_NO_THROW(rig.detector.enter_wait(1, 0, /*tag=*/5));
+  EXPECT_NO_THROW(rig.detector.enter_wait(2, 1, /*tag=*/5));
+  // Rank 3 retires: nothing running is left, so the wildcard and both
+  // chains behind it are dead at once.
+  const std::string what =
+      DetectorRig::error_of([&] { rig.detector.mark_done(3); });
+  EXPECT_EQ(count_of(what, "STUCK"), 3) << what;
+  EXPECT_NE(what.find("rank 0: STUCK in recv(src=any, tag=5"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("rank 2: STUCK in recv(src=1, tag=5"),
+            std::string::npos)
+      << what;
+
+  // Once the wildcard leaves, specific waits go back to the chain walk:
+  // 2 -> 1 -> 2 is a cycle, while rank 0 runs.
+  DetectorRig rig2(4);
+  EXPECT_NO_THROW(rig2.detector.enter_wait(0, kAnySource, /*tag=*/5));
+  EXPECT_NO_THROW(rig2.detector.enter_wait(1, 2, /*tag=*/5));
+  rig2.detector.leave_wait(0);
+  const std::string cyc = DetectorRig::error_of(
+      [&] { rig2.detector.enter_wait(2, 1, /*tag=*/5); });
+  EXPECT_EQ(count_of(cyc, "STUCK"), 2) << cyc;
+  EXPECT_NE(cyc.find("rank 0: running"), std::string::npos) << cyc;
+
+  // A wildcard whose match is queued stays live with nobody else running.
+  DetectorRig rig3(2);
+  push_from(rig3.boxes[0], /*src=*/1, /*tag=*/5);
+  EXPECT_NO_THROW(rig3.detector.enter_wait(0, kAnySource, /*tag=*/5));
+  EXPECT_NO_THROW(rig3.detector.mark_done(1));
+}
+
+TEST(Deadlock, AwaitMatchesProbesForOneQueuedMatch) {
+  // A wait for n > 1 matches publishes the same (src, tag) edge as a
+  // blocking recv, and the detector probes it the same way: one queued
+  // match makes the waiter live.  So a sender that retires one message
+  // short is not provable by the graph and falls to the wall-clock
+  // timeout; a sender that sends nothing is caught by the graph.
+  MachineConfig cfg = quiet_config();
+  cfg.recv_timeout_wall = 0.3;
+  Machine short_one(2, cfg);
+  const std::string timed_out = run_expecting_error(short_one, [](Context& ctx) {
+    if (ctx.rank() == 0) {
+      int a = 0;
+      int b = 0;
+      CommHandle ha = ctx.irecv<int>(1, /*tag=*/5, a);
+      CommHandle hb = ctx.irecv<int>(1, /*tag=*/5, b);
+      ctx.wait(hb);  // completes the lane: waits for two matches
+      ctx.wait(ha);
+    } else {
+      ctx.send<int>(0, /*tag=*/5, 1);
+    }
+  });
+  EXPECT_NE(timed_out.find("timed out"), std::string::npos) << timed_out;
+  EXPECT_NE(timed_out.find("did not trip"), std::string::npos) << timed_out;
+
+  Machine none(2, quiet_config());
+  const std::string stuck = run_expecting_error(none, [](Context& ctx) {
+    if (ctx.rank() == 0) {
+      int a = 0;
+      int b = 0;
+      CommHandle ha = ctx.irecv<int>(1, /*tag=*/5, a);
+      CommHandle hb = ctx.irecv<int>(1, /*tag=*/5, b);
+      ctx.wait(hb);
+      ctx.wait(ha);
+    }
+  });
+  EXPECT_NE(stuck.find("STUCK in recv(src=1, tag=5"), std::string::npos)
+      << stuck;
 }
 
 }  // namespace

@@ -437,6 +437,163 @@ TEST(DistArray, CornerHaloBitIdenticalUnderStoreForwardContention) {
   }
 }
 
+/// Sliced views with a nonzero base inside a 40-rank machine (a 2x4x5
+/// grid): a 3x5 plane, and a 2x3x3 box.
+ProcView sliced_plane() {
+  return ProcView::grid3(2, 4, 5).fix(0, 1).sub(0, 1, 3);
+}
+ProcView sliced_box() {
+  return ProcView::grid3(2, 4, 5).sub(1, 1, 3).sub(2, 1, 3);
+}
+
+/// The corner halo's communication graph on `pv` — one message each way
+/// between king-adjacent members, tagged by the sender's direction code —
+/// issued through detail::issue_exchange over `make_members()`.  Returns
+/// the stats and each rank's event log (kind, peer, tag[, value]).
+template <class MakeMembers>
+std::pair<MachineStats, std::vector<std::vector<int>>> run_king_exchange(
+    const ProcView& pv, IssueOrder order, MakeMembers make_members) {
+  Machine m(40, quiet_config());
+  std::vector<std::vector<int>> logs(40);
+  m.run([&](Context& ctx) {
+    const auto coord = pv.coord_of(ctx.rank());
+    if (!coord.has_value()) {
+      return;
+    }
+    const int nd = pv.ndims();
+    std::vector<std::pair<int, int>> out;  // (peer, tag)
+    std::vector<std::pair<int, int>> in;
+    int ncodes = 1;
+    for (int d = 0; d < nd; ++d) {
+      ncodes *= 3;
+    }
+    for (int code = 0; code < ncodes; ++code) {
+      auto nc = *coord;
+      int back = 0;  // the code of -delta: the peer's direction back to me
+      bool inside = code != (ncodes - 1) / 2;  // skip delta == 0
+      for (int d = 0, rest = code, w = 1; d < nd; ++d, rest /= 3, w *= 3) {
+        const int delta = rest % 3 - 1;
+        nc[static_cast<std::size_t>(d)] += delta;
+        back += (1 - delta) * w;
+        inside = inside && nc[static_cast<std::size_t>(d)] >= 0 &&
+                 nc[static_cast<std::size_t>(d)] < pv.extent(d);
+      }
+      if (inside) {
+        out.emplace_back(pv.rank_of(nc), kTagHaloCornerBase + code);
+        in.emplace_back(pv.rank_of(nc), kTagHaloCornerBase + back);
+      }
+    }
+    auto& log = logs[static_cast<std::size_t>(ctx.rank())];
+    const auto members = make_members();
+    detail::issue_exchange(
+        members, ctx.rank(), order, out, in,
+        [&](int peer, int tag) {
+          ctx.send<int>(peer, tag, 1000 * ctx.rank() + tag);
+          log.insert(log.end(), {1, peer, tag});
+        },
+        [&](int peer, int tag) {
+          const int v = ctx.recv<int>(peer, tag);
+          log.insert(log.end(), {2, peer, tag, v});
+        },
+        [&] { ctx.compute(static_cast<double>(out.size())); },
+        [&] { ctx.compute(static_cast<double>(in.size())); });
+  });
+  return {m.stats(), logs};
+}
+
+TEST(DistArray, ViewDrivesTheSameExchangeAsTheRankList) {
+  // The corner halo hands its view to the schedule as the sorted
+  // communicator instead of the materialized, sorted ranks() list.  Driving
+  // the halo's exchange graph both ways must issue the same operations in
+  // the same order: identical event logs, values, clocks and per-tag
+  // ledgers.
+  for (const ProcView& pv : {sliced_plane(), sliced_box()}) {
+    for (IssueOrder order : {IssueOrder::kRoundSchedule,
+                             IssueOrder::kPeerOrder, IssueOrder::kLockstep}) {
+      SCOPED_TRACE(std::to_string(pv.ndims()) + "-D order " +
+                   std::to_string(static_cast<int>(order)));
+      const auto [st_view, logs_view] =
+          run_king_exchange(pv, order, [&] { return pv; });
+      const auto [st_list, logs_list] = run_king_exchange(pv, order, [&] {
+        std::vector<int> members = pv.ranks();
+        std::sort(members.begin(), members.end());
+        return members;
+      });
+      EXPECT_EQ(logs_view, logs_list);
+      EXPECT_EQ(st_view.clocks, st_list.clocks);
+      for (std::size_t r = 0; r < st_view.per_proc.size(); ++r) {
+        EXPECT_EQ(st_view.per_proc[r].sent_by_tag,
+                  st_list.per_proc[r].sent_by_tag);
+        EXPECT_EQ(st_view.per_proc[r].recv_by_tag,
+                  st_list.per_proc[r].recv_by_tag);
+      }
+      EXPECT_TRUE(st_view.unmatched_by_tag().empty());
+    }
+  }
+}
+
+TEST(DistArray, CornerHaloOnSlicedViewsAnyOrder) {
+  // exchange_halo(kYes) on sliced views with a nonzero base, under every
+  // issue order: all in-domain ghosts valid, ledgers balanced, no
+  // self-messages, one pack per ordered pair of king-adjacent members.
+  for (IssueOrder order : {IssueOrder::kRoundSchedule, IssueOrder::kPeerOrder,
+                           IssueOrder::kLockstep}) {
+    SCOPED_TRACE(static_cast<int>(order));
+    Machine m2(40, quiet_config());
+    m2.run([&](Context& ctx) {
+      const ProcView pv = sliced_plane();
+      DistArray2<double> a(ctx, pv, {9, 15},
+                           {DimDist::block_dist(), DimDist::block_dist()},
+                           {1, 1});
+      a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+      a.exchange_halo(HaloCorners::kYes, order);
+      if (!a.participating()) {
+        return;
+      }
+      for (int i = std::max(0, a.own_lower(0) - 1);
+           i <= std::min(8, a.own_upper(0) + 1); ++i) {
+        for (int j = std::max(0, a.own_lower(1) - 1);
+             j <= std::min(14, a.own_upper(1) + 1); ++j) {
+          EXPECT_DOUBLE_EQ(a.at_halo({i, j}), tag2(i, j)) << i << "," << j;
+        }
+      }
+    });
+    const MachineStats st2 = m2.stats();
+    EXPECT_TRUE(st2.unmatched_by_tag().empty());
+    EXPECT_EQ(st2.self_msgs_total(), 0u);
+    // 3x5 grid: 2*(2*5) + 2*(3*4) faces + 4*(2*4) diagonals.
+    EXPECT_EQ(st2.sent_msgs(kTagHaloCornerPack), 76u);
+
+    Machine m3(40, quiet_config());
+    m3.run([&](Context& ctx) {
+      const ProcView pv = sliced_box();
+      DistArray3<double> a(ctx, pv, {6, 9, 9},
+                           {DimDist::block_dist(), DimDist::block_dist(),
+                            DimDist::block_dist()},
+                           {1, 1, 1});
+      a.fill([](std::array<int, 3> g) { return tag3(g[0], g[1], g[2]); });
+      a.exchange_halo(HaloCorners::kYes, order);
+      if (!a.participating()) {
+        return;
+      }
+      for (int i = std::max(0, a.own_lower(0) - 1);
+           i <= std::min(5, a.own_upper(0) + 1); ++i) {
+        for (int j = std::max(0, a.own_lower(1) - 1);
+             j <= std::min(8, a.own_upper(1) + 1); ++j) {
+          for (int k = std::max(0, a.own_lower(2) - 1);
+               k <= std::min(8, a.own_upper(2) + 1); ++k) {
+            EXPECT_DOUBLE_EQ(a.at_halo({i, j, k}), tag3(i, j, k))
+                << i << "," << j << "," << k;
+          }
+        }
+      }
+    });
+    const MachineStats st3 = m3.stats();
+    EXPECT_TRUE(st3.unmatched_by_tag().empty());
+    EXPECT_EQ(st3.self_msgs_total(), 0u);
+  }
+}
+
 TEST(DistArray, CopyInSnapshotsOldValues) {
   Machine m(2, quiet_config());
   m.run([](Context& ctx) {

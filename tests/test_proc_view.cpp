@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "machine/schedule.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -117,6 +120,66 @@ TEST(ProcView, EqualityComparesShape) {
   EXPECT_EQ(ProcView::grid2(2, 3), ProcView::grid2(2, 3));
   EXPECT_FALSE(ProcView::grid2(2, 3) == ProcView::grid2(3, 2));
   EXPECT_FALSE(ProcView::grid1(4) == ProcView::grid1(4, 1));
+}
+
+/// Every view reachable from a grid with a nonzero base by one or two
+/// fix / sub steps — the shapes runtime code builds and slices.
+std::vector<ProcView> sliced_views() {
+  std::vector<ProcView> roots{ProcView::grid1(7, 3), ProcView::grid2(4, 5, 11),
+                              ProcView::grid3(3, 4, 5, 2)};
+  std::vector<ProcView> views;
+  auto one_step = [](const ProcView& v) {
+    std::vector<ProcView> out;
+    for (int d = 0; d < v.ndims(); ++d) {
+      for (int i = 0; i < v.extent(d); ++i) {
+        out.push_back(v.fix(d, i));
+        for (int len = 1; i + len <= v.extent(d); ++len) {
+          out.push_back(v.sub(d, i, len));
+        }
+      }
+    }
+    return out;
+  };
+  for (const ProcView& root : roots) {
+    views.push_back(root);
+    for (const ProcView& v : one_step(root)) {
+      views.push_back(v);
+      for (const ProcView& w : one_step(v)) {
+        views.push_back(w);
+      }
+    }
+  }
+  return views;
+}
+
+TEST(ProcView, RanksAscendOnEverySlice) {
+  // The sorted-communicator contract the corner halo relies on: row-major
+  // member order is strictly ascending rank order.
+  for (const ProcView& v : sliced_views()) {
+    const std::vector<int> ranks = v.ranks();
+    ASSERT_EQ(static_cast<int>(ranks.size()), v.count());
+    for (std::size_t i = 1; i < ranks.size(); ++i) {
+      ASSERT_LT(ranks[i - 1], ranks[i]);
+    }
+  }
+}
+
+TEST(ProcView, ViewAgreesWithTheMaterializedList) {
+  static_assert(detail::MemberSequence<ProcView>);
+  static_assert(detail::MemberSequence<detail::RankList>);
+  for (const ProcView& v : sliced_views()) {
+    const std::vector<int> ranks = v.ranks();
+    const detail::RankList list(ranks);
+    ASSERT_EQ(v.count(), list.count());
+    for (int i = 0; i < list.count(); ++i) {
+      const int rank = list.rank_at(i);
+      EXPECT_EQ(v.rank_at(i), rank);
+      EXPECT_EQ(v.linear_index_of(rank), list.linear_index_of(rank));
+      EXPECT_EQ(v.linear_index_of(rank), i);
+    }
+  }
+  EXPECT_THROW((void)ProcView::grid2(2, 2).rank_at(4), Error);
+  EXPECT_THROW((void)ProcView::grid2(2, 2, 1).linear_index_of(0), Error);
 }
 
 }  // namespace
