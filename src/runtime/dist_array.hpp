@@ -14,12 +14,20 @@
 //
 // Indexing is Fortran-listing-flavoured: `A(i, j)` takes *global* indices
 // and requires ownership; `A.at_halo(...)` additionally admits ghost cells.
+// Cost model, per access of a rank-R array: a block or star dim resolves
+// through the cached slab origin — (g - lower) * stride after a range test
+// on the slab (plus halo) — so block/star layouts pay O(R) adds and
+// compares, no division; cyclic and block-cyclic dims go through DimMap's
+// owner/local division.  for_each_cell, the walker behind every box pack
+// and unpack, checks a box's first and last cells and then walks its rows
+// by stride.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -118,6 +126,9 @@ class DistArray {
                           ? 0
                           : view_coord_[static_cast<std::size_t>(proc_dim_[ud])];
       lcount_[ud] = maps_[ud].count(my_coord_[ud]);
+      lo_[ud] = dists_[ud].kind == DistKind::kBlock
+                    ? maps_[ud].block_lower(my_coord_[ud])
+                    : 0;
       strides_[ud] = size;
       size *= lcount_[ud] + 2 * halo_[ud];
     }
@@ -234,12 +245,8 @@ class DistArray {
   [[nodiscard]] int own_lower(int d) const {
     require_member();
     const auto ud = idx(d);
-    if (dists_[ud].kind == DistKind::kStar) {
-      return 0;
-    }
-    KALI_CHECK(dists_[ud].kind == DistKind::kBlock,
-               "own_lower requires block or star dist");
-    return maps_[ud].block_lower(my_coord_[ud]);
+    KALI_CHECK(affine(ud), "own_lower requires block or star dist");
+    return lo_[ud];
   }
   [[nodiscard]] int own_upper(int d) const {
     return own_lower(d) + local_count(d) - 1;
@@ -317,6 +324,26 @@ class DistArray {
         return;
       }
     }
+  }
+
+  /// Visit the strided box of cells first + t * step, t in [0, n) per dim,
+  /// in row-major order (the wire order of every box pack and unpack),
+  /// calling fn(T&) — fn(const T&) on a const array.  `ghosts` admits
+  /// halo/frame cells (frame() semantics); otherwise only owned cells
+  /// (at() semantics).  No-op when any n[d] <= 0.  On a block/star layout
+  /// whose box has both corners in the slab, every cell is in it (a box is
+  /// convex), so the rows are walked by offset stride with no per-cell
+  /// check.  Cyclic layouts and boxes that leave the slab go cell by cell
+  /// through at()/frame()'s addressing, so a bad box throws from its first
+  /// bad cell, with that accessor's message.
+  template <class Fn>
+  void for_each_cell(Extents first, Extents step, Extents n, bool ghosts, Fn fn) {
+    walk_cells(*this, first, step, n, ghosts, fn);
+  }
+  template <class Fn>
+  void for_each_cell(Extents first, Extents step, Extents n, bool ghosts,
+                     Fn fn) const {
+    walk_cells(*this, first, step, n, ghosts, fn);
   }
 
   // ---- copy-in/copy-out & halo ---------------------------------------------
@@ -561,6 +588,7 @@ class DistArray {
         const auto so = static_cast<std::size_t>(o);
         out.my_coord_[so] = my_coord_[sd];
         out.lcount_[so] = lcount_[sd];
+        out.lo_[so] = lo_[sd];
         out.strides_[so] = strides_[sd];
         ++o;
       }
@@ -613,6 +641,7 @@ class DistArray {
       out.view_coord_ = *vc;
       out.my_coord_[ud] = 0;
       out.lcount_[ud] = len;
+      out.lo_[ud] = 0;
       out.offset_ = offset_ + static_cast<std::ptrdiff_t>(maps_[ud].local(lo)) * strides_[ud];
     } else {
       out.store_.reset();
@@ -633,16 +662,25 @@ class DistArray {
     KALI_CHECK(member_, "operation requires view membership");
   }
 
+  /// Block and star dims: the slab is the affine window [lo_, lo_ +
+  /// lcount_) of global indices, so an address is (g - lo_) * stride.
+  [[nodiscard]] bool affine(std::size_t ud) const {
+    return dists_[ud].kind == DistKind::kBlock || dists_[ud].kind == DistKind::kStar;
+  }
+
   [[nodiscard]] std::ptrdiff_t flat_halo(Extents g) const {
     require_member();
     std::ptrdiff_t f = offset_;
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
       int rel;
-      if (dists_[ud].kind == DistKind::kBlock) {
-        rel = g[ud] - maps_[ud].block_lower(my_coord_[ud]);
+      if (affine(ud)) {
+        rel = g[ud] - lo_[ud];
         KALI_CHECK(rel >= -halo_[ud] && rel < lcount_[ud] + halo_[ud],
-                   "at_halo: outside slab+halo");
+                   dists_[ud].kind == DistKind::kBlock ? "at_halo: outside slab+halo"
+                                                       : "at_halo: not owned");
+        KALI_INVARIANT(rel < 0 || rel >= lcount_[ud] || slab_agrees(ud, g[ud], rel),
+                       "at_halo: slab origin disagrees with DimMap");
       } else {
         KALI_CHECK(g[ud] >= 0 && g[ud] < extents_[ud] &&
                        maps_[ud].owner(g[ud]) == my_coord_[ud],
@@ -660,10 +698,109 @@ class DistArray {
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
       KALI_CHECK(g[ud] >= 0 && g[ud] < extents_[ud], "index out of range");
-      KALI_CHECK(maps_[ud].owner(g[ud]) == my_coord_[ud], "index not owned");
-      f += static_cast<std::ptrdiff_t>(maps_[ud].local(g[ud])) * strides_[ud];
+      int rel;
+      if (affine(ud)) {
+        rel = g[ud] - lo_[ud];
+        KALI_CHECK(rel >= 0 && rel < lcount_[ud], "index not owned");
+        KALI_INVARIANT(slab_agrees(ud, g[ud], rel),
+                       "index: slab origin disagrees with DimMap");
+      } else {
+        KALI_CHECK(maps_[ud].owner(g[ud]) == my_coord_[ud], "index not owned");
+        rel = maps_[ud].local(g[ud]);
+      }
+      f += static_cast<std::ptrdiff_t>(rel) * strides_[ud];
     }
     return f;
+  }
+
+  /// The DimMap definition of an owned cell, which the slab-origin test of
+  /// the affine dims must reproduce (checked under KALI_CHECK_INVARIANTS).
+  [[nodiscard]] bool slab_agrees(std::size_t ud, int g, int rel) const {
+    return maps_[ud].owner(g) == my_coord_[ud] && maps_[ud].local(g) == rel;
+  }
+
+  /// Whether flat_halo (`ghosts`) or flat_owned accepts g, for a member
+  /// whose dims are all affine — the same range tests, without the throw.
+  [[nodiscard]] bool in_slab(const Extents& g, bool ghosts) const {
+    if (!member_) {
+      return false;
+    }
+    for (int d = 0; d < R; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      const int h = ghosts ? halo_[ud] : 0;
+      const int rel = g[ud] - lo_[ud];
+      if (rel < -h || rel >= lcount_[ud] + h) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Row-major odometer over the leading `dims` dims of t in [0, n);
+  /// false once it wraps around.
+  static bool advance(Extents& t, const Extents& n, int dims) {
+    for (int d = dims - 1; d >= 0; --d) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (++t[ud] < n[ud]) {
+        return true;
+      }
+      t[ud] = 0;
+    }
+    return false;
+  }
+
+  /// for_each_cell for both constnesses (Self is DistArray or const
+  /// DistArray).  Under KALI_CHECK_INVARIANTS the row walk also checks
+  /// every cell's offset against flat_owned/flat_halo.
+  template <class Self, class Fn>
+  static void walk_cells(Self& a, const Extents& first, const Extents& step,
+                         const Extents& n, bool ghosts, Fn& fn) {
+    using Cell = std::conditional_t<std::is_const_v<Self>, const T, T>;
+    Extents last = first;
+    bool rows = true;
+    for (int d = 0; d < R; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (n[ud] <= 0) {
+        return;
+      }
+      last[ud] += (n[ud] - 1) * step[ud];
+      rows = rows && a.affine(ud);
+    }
+    rows = rows && a.in_slab(first, ghosts) && a.in_slab(last, ghosts);
+    auto flat = [&](const Extents& t) {
+      Extents g{};
+      for (int d = 0; d < R; ++d) {
+        const auto ud = static_cast<std::size_t>(d);
+        g[ud] = first[ud] + t[ud] * step[ud];
+      }
+      return ghosts ? a.flat_halo(g) : a.flat_owned(g);
+    };
+    Extents t{};
+    if (!rows) {
+      do {
+        const auto f = static_cast<std::size_t>(flat(t));
+        fn(static_cast<Cell&>((*a.store_)[f]));
+      } while (advance(t, n, R));
+      return;
+    }
+    Cell* data = a.store_->data();
+    const std::ptrdiff_t f0 = flat(t);
+    std::array<std::ptrdiff_t, UR> jump{};
+    for (std::size_t d = 0; d < UR; ++d) {
+      jump[d] = static_cast<std::ptrdiff_t>(step[d]) * a.strides_[d];
+    }
+    constexpr std::size_t in = UR - 1;  // the row dim
+    do {
+      std::ptrdiff_t f = f0;
+      for (std::size_t d = 0; d < in; ++d) {
+        f += static_cast<std::ptrdiff_t>(t[d]) * jump[d];
+      }
+      for (t[in] = 0; t[in] < n[in]; ++t[in], f += jump[in]) {
+        KALI_INVARIANT(f == flat(t), "for_each_cell: row walk disagrees with flat addressing");
+        fn(data[f]);
+      }
+      t[in] = 0;
+    } while (advance(t, n, R - 1));
   }
 
   /// Flat position of slab-relative coordinates (rel in [-halo, count+halo)).
@@ -1105,6 +1242,7 @@ class DistArray {
   std::array<int, kMaxProcDims> view_coord_{};
   std::array<int, UR> my_coord_{};
   std::array<int, UR> lcount_{};
+  std::array<int, UR> lo_{};  ///< slab origin: first owned global (block), else 0
   std::array<std::ptrdiff_t, UR> strides_{};
   std::ptrdiff_t offset_ = 0;
   std::shared_ptr<std::vector<T>> store_;

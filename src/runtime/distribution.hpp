@@ -9,12 +9,17 @@
 // DimMap binds a pattern to a concrete (extent, nprocs) pair and provides
 // the index algebra the KF1 compiler would generate: owner-of-global,
 // global<->local translation, per-processor counts, and the paper's
-// `lower`/`upper` intrinsic functions for block distributions.
+// `lower`/`upper` intrinsic functions for block distributions.  The
+// per-element translations are inline: they sit under every global-index
+// access of a cyclic-layout array and every peer enumeration.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "support/check.hpp"
 
 namespace kali {
 
@@ -43,22 +48,90 @@ class DimMap {
   [[nodiscard]] int nprocs() const { return nprocs_; }
 
   /// Processor coordinate owning global index g (0 for kStar).
-  [[nodiscard]] int owner(int g) const;
+  [[nodiscard]] int owner(int g) const {
+    KALI_CHECK(g >= 0 && g < extent_, "owner: index out of range");
+    switch (dist_.kind) {
+      case DistKind::kStar:
+        return 0;
+      case DistKind::kBlock:
+        return g / block_;
+      case DistKind::kCyclic:
+        return g % nprocs_;
+      case DistKind::kBlockCyclic:
+        return (g / dist_.block) % nprocs_;
+    }
+    KALI_FAIL("bad kind");
+  }
 
   /// Local index of global g on its owner (g itself for kStar).
-  [[nodiscard]] int local(int g) const;
+  [[nodiscard]] int local(int g) const {
+    KALI_CHECK(g >= 0 && g < extent_, "local: index out of range");
+    switch (dist_.kind) {
+      case DistKind::kStar:
+        return g;
+      case DistKind::kBlock:
+        return g - (g / block_) * block_;
+      case DistKind::kCyclic:
+        return g / nprocs_;
+      case DistKind::kBlockCyclic: {
+        const int b = dist_.block;
+        return (g / (b * nprocs_)) * b + g % b;
+      }
+    }
+    KALI_FAIL("bad kind");
+  }
 
   /// Global index of local l on processor coordinate c.
-  [[nodiscard]] int global(int c, int l) const;
+  [[nodiscard]] int global(int c, int l) const {
+    KALI_CHECK(c >= 0 && c < nprocs_, "global: bad proc coord");
+    KALI_CHECK(l >= 0 && l < count(c), "global: bad local index");
+    switch (dist_.kind) {
+      case DistKind::kStar:
+        return l;
+      case DistKind::kBlock:
+        return c * block_ + l;
+      case DistKind::kCyclic:
+        return l * nprocs_ + c;
+      case DistKind::kBlockCyclic: {
+        const int b = dist_.block;
+        return (l / b) * b * nprocs_ + c * b + l % b;
+      }
+    }
+    KALI_FAIL("bad kind");
+  }
 
   /// Number of elements processor coordinate c owns.
-  [[nodiscard]] int count(int c) const;
+  [[nodiscard]] int count(int c) const {
+    KALI_CHECK(c >= 0 && c < nprocs_, "count: bad proc coord");
+    switch (dist_.kind) {
+      case DistKind::kStar:
+        return extent_;
+      case DistKind::kBlock:
+        return std::clamp(extent_ - c * block_, 0, block_);
+      case DistKind::kCyclic:
+        return (extent_ - c + nprocs_ - 1) / nprocs_;
+      case DistKind::kBlockCyclic: {
+        const int b = dist_.block;
+        const int full = extent_ / (b * nprocs_);
+        const int rem = extent_ - full * b * nprocs_;
+        return full * b + std::clamp(rem - c * b, 0, b);
+      }
+    }
+    KALI_FAIL("bad kind");
+  }
 
   /// First owned global index for block distributions (paper's `lower`).
-  [[nodiscard]] int block_lower(int c) const;
+  [[nodiscard]] int block_lower(int c) const {
+    KALI_CHECK(dist_.kind == DistKind::kBlock, "lower() requires block dist");
+    KALI_CHECK(c >= 0 && c < nprocs_, "lower: bad proc coord");
+    return c * block_;
+  }
 
   /// Last owned global index, inclusive (paper's `upper`).
-  [[nodiscard]] int block_upper(int c) const;
+  [[nodiscard]] int block_upper(int c) const {
+    KALI_CHECK(dist_.kind == DistKind::kBlock, "upper() requires block dist");
+    return block_lower(c) + count(c) - 1;
+  }
 
   /// All global indices owned by c, ascending (any distribution kind).
   [[nodiscard]] std::vector<int> owned_indices(int c) const;

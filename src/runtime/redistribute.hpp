@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -166,25 +167,64 @@ Box<R> intersect(const Box<R>& a, const Box<R>& b) {
   return r;
 }
 
-/// Visit every global index of a (nonempty) box in row-major order — the
-/// wire order both endpoints of a slab transfer agree on.
-template <int R, class Fn>
-void for_each_in_box(const Box<R>& b, Fn fn) {
-  GIndex<R> g = b.lo;
-  for (;;) {
-    fn(g);
-    int d = R - 1;
-    for (; d >= 0; --d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (++g[ud] <= b.hi[ud]) {
-        break;
-      }
-      g[ud] = b.lo[ud];
+/// The cells first + t * step, t in [0, n) per dim, of one slab transfer
+/// — DistArray::for_each_cell's box.  Both endpoints walk it row-major,
+/// which is the wire order they agree on.
+template <int R>
+struct Cells {
+  GIndex<R> first{};
+  GIndex<R> step{};
+  GIndex<R> n{};
+
+  [[nodiscard]] std::int64_t volume() const {
+    std::int64_t v = 1;
+    for (int d = 0; d < R; ++d) {
+      v *= std::max(0, n[static_cast<std::size_t>(d)]);
     }
-    if (d < 0) {
-      return;
-    }
+    return v;
   }
+};
+
+/// Every global index of box b, unit steps.
+template <int R>
+Cells<R> cells_of(const Box<R>& b) {
+  Cells<R> c;
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    c.first[ud] = b.lo[ud];
+    c.step[ud] = 1;
+    c.n[ud] = b.hi[ud] - b.lo[ud] + 1;
+  }
+  return c;
+}
+
+/// Append A's owned cells c to buf, in wire order.
+template <class T, int R>
+void pack_cells(const DistArray<T, R>& A, const Cells<R>& c, std::vector<T>& buf) {
+  A.for_each_cell(c.first, c.step, c.n, /*ghosts=*/false,
+                  [&](const T& v) { buf.push_back(v); });
+}
+
+/// Overwrite A's cells c from vals, in wire order; `ghosts` admits halo
+/// cells (frame() targets).  Returns the number of cells written.
+template <class T, int R>
+std::size_t unpack_cells(DistArray<T, R>& A, const Cells<R>& c, bool ghosts,
+                         std::span<const T> vals) {
+  std::size_t k = 0;
+  A.for_each_cell(c.first, c.step, c.n, ghosts, [&](T& cell) { cell = vals[k++]; });
+  return k;
+}
+
+/// Self-overlap copy: src's cells `from` into dst's cells `to` (equal
+/// volumes, paired in wire order), staged through `stage` — the caller's
+/// send buffer — like a message that never leaves the rank.
+template <class T, int R>
+void copy_cells(const DistArray<T, R>& src, const Cells<R>& from,
+                DistArray<T, R>& dst, const Cells<R>& to, bool ghosts,
+                std::vector<T>& stage) {
+  stage.clear();
+  pack_cells(src, from, stage);
+  unpack_cells(dst, to, ghosts, std::span<const T>(stage));
 }
 
 /// True when every dimension of A is block or star, i.e. every rank's owned
@@ -259,6 +299,47 @@ void for_each_intersecting_peer(const DistArray<T, R>& A, const Box<R>& within,
   }
 }
 
+/// The calling rank's remote transfers between box layouts: (dst rank,
+/// shared box) for every other rank receiving part of my src slab, (src
+/// rank, shared box) for every other rank sending into my dst slab.
+template <class T, int R>
+void box_transfers(Context& ctx, const DistArray<T, R>& src,
+                   const DistArray<T, R>& dst,
+                   std::vector<std::pair<int, Box<R>>>& out,
+                   std::vector<std::pair<int, Box<R>>>& in) {
+  if (src.participating() && !owned_box(src).empty()) {
+    for_each_intersecting_peer(dst, owned_box(src), [&](int rank, const Box<R>& b) {
+      if (rank != ctx.rank()) {
+        out.emplace_back(rank, b);
+      }
+    });
+  }
+  if (dst.participating() && !owned_box(dst).empty()) {
+    for_each_intersecting_peer(src, owned_box(dst), [&](int rank, const Box<R>& b) {
+      if (rank != ctx.rank()) {
+        in.emplace_back(rank, b);
+      }
+    });
+  }
+}
+
+/// The self-overlap of box layouts stays off the network: copy it locally
+/// (staged through `stage`).  Returns the number of elements copied.
+template <class T, int R>
+std::int64_t copy_self_overlap(const DistArray<T, R>& src, DistArray<T, R>& dst,
+                               std::vector<T>& stage) {
+  if (!src.participating() || !dst.participating()) {
+    return 0;
+  }
+  const Box<R> shared = intersect(owned_box(src), owned_box(dst));
+  if (shared.empty()) {
+    return 0;
+  }
+  copy_cells(src, cells_of(shared), dst, cells_of(shared), /*ghosts=*/false,
+             stage);
+  return shared.volume();
+}
+
 }  // namespace detail
 
 template <class T, int R>
@@ -300,46 +381,20 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
 
   if (detail::box_eligible(src) && detail::box_eligible(dst)) {
     // ---- box-intersection fast path: contiguous slab exchange -----------
-    if (in_src && in_dst) {
-      // Self-overlap stays off the network: direct local copy.
-      const detail::Box<R> shared =
-          detail::intersect(detail::owned_box(src), detail::owned_box(dst));
-      if (!shared.empty()) {
-        detail::for_each_in_box(shared, [&](GIndex<R> g) { dst.at(g) = src.at(g); });
-        ctx.compute(static_cast<double>(shared.volume()));
-      }
+    std::vector<T> buf;
+    if (const std::int64_t copied = detail::copy_self_overlap(src, dst, buf);
+        copied > 0) {
+      ctx.compute(static_cast<double>(copied));
     }
     std::vector<std::pair<int, detail::Box<R>>> out;
     std::vector<std::pair<int, detail::Box<R>>> in;
-    if (in_src) {
-      const detail::Box<R> mine = detail::owned_box(src);
-      if (!mine.empty()) {
-        detail::for_each_intersecting_peer(
-            dst, mine, [&](int rank, const detail::Box<R>& b) {
-              if (rank != ctx.rank()) {
-                out.emplace_back(rank, b);
-              }
-            });
-      }
-    }
-    if (in_dst) {
-      const detail::Box<R> mine = detail::owned_box(dst);
-      if (!mine.empty()) {
-        detail::for_each_intersecting_peer(
-            src, mine, [&](int rank, const detail::Box<R>& b) {
-              if (rank != ctx.rank()) {
-                in.emplace_back(rank, b);
-              }
-            });
-      }
-    }
-    std::vector<T> buf;
+    detail::box_transfers(ctx, src, dst, out, in);
     double packed = 0;
     double unpacked = 0;
     auto send_one = [&](int rank, const detail::Box<R>& b) {
       buf.clear();
       buf.reserve(static_cast<std::size_t>(b.volume()));
-      detail::for_each_in_box(b, [&](GIndex<R> g) { buf.push_back(src.at(g)); });
+      detail::pack_cells(src, detail::cells_of(b), buf);
       ctx.send_span<T>(rank, kTagRedistData, std::span<const T>(buf));
       packed += static_cast<double>(buf.size());
     };
@@ -347,9 +402,8 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
       auto vals = ctx.recv_vec<T>(rank, kTagRedistData);
       KALI_CHECK(vals.size() == static_cast<std::size_t>(b.volume()),
                  "redistribute: slab size mismatch");
-      std::size_t k = 0;
-      detail::for_each_in_box(b, [&](GIndex<R> g) { dst.at(g) = vals[k++]; });
-      unpacked += static_cast<double>(k);
+      unpacked += static_cast<double>(detail::unpack_cells(
+          dst, detail::cells_of(b), /*ghosts=*/false, std::span<const T>(vals)));
     };
     detail::issue_exchange(
         members, ctx.rank(), order, out, in, send_one, recv_one,
@@ -441,9 +495,7 @@ template <class T, int R>
   }
   KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
              "redistribute_begin: requires block/star layouts");
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
+  if (!src.participating() && !dst.participating()) {
     return {};
   }
   const std::vector<int> members =
@@ -451,28 +503,7 @@ template <class T, int R>
 
   std::vector<std::pair<int, detail::Box<R>>> out;
   std::vector<std::pair<int, detail::Box<R>>> in;
-  if (in_src) {
-    const detail::Box<R> mine = detail::owned_box(src);
-    if (!mine.empty()) {
-      detail::for_each_intersecting_peer(
-          dst, mine, [&](int rank, const detail::Box<R>& b) {
-            if (rank != ctx.rank()) {
-              out.emplace_back(rank, b);
-            }
-          });
-    }
-  }
-  if (in_dst) {
-    const detail::Box<R> mine = detail::owned_box(dst);
-    if (!mine.empty()) {
-      detail::for_each_intersecting_peer(
-          src, mine, [&](int rank, const detail::Box<R>& b) {
-            if (rank != ctx.rank()) {
-              in.emplace_back(rank, b);
-            }
-          });
-    }
-  }
+  detail::box_transfers(ctx, src, dst, out, in);
 
   // Post every receive before the first send: the whole wire window is
   // eligible for hiding.  shared_ptr storage because the completion
@@ -493,7 +524,7 @@ template <class T, int R>
   for (auto& [rank, b] : out) {
     buf.clear();
     buf.reserve(static_cast<std::size_t>(b.volume()));
-    detail::for_each_in_box(b, [&](GIndex<R> g) { buf.push_back(src.at(g)); });
+    detail::pack_cells(src, detail::cells_of(b), buf);
     // kali-lint: allow(raw-exchange) — split-phase form: receives are already
     // posted as irecvs above, so there is no recv_one closure to pair with.
     ctx.send_span<T>(rank, kTagRedistData, std::span<const T>(buf));
@@ -503,14 +534,9 @@ template <class T, int R>
 
   // Self-overlap local copy, charged inside the wire window (the blocking
   // path charges the identical element count; only its clock slot moves).
-  if (in_src && in_dst) {
-    const detail::Box<R> shared =
-        detail::intersect(detail::owned_box(src), detail::owned_box(dst));
-    if (!shared.empty()) {
-      detail::for_each_in_box(shared,
-                              [&](GIndex<R> g) { dst.at(g) = src.at(g); });
-      ctx.compute(static_cast<double>(shared.volume()));
-    }
+  if (const std::int64_t copied = detail::copy_self_overlap(src, dst, buf);
+      copied > 0) {
+    ctx.compute(static_cast<double>(copied));
   }
 
   auto slabs = std::make_shared<std::vector<std::pair<int, detail::Box<R>>>>(
@@ -523,9 +549,8 @@ template <class T, int R>
       const std::vector<T>& vals = (*stage)[i];
       KALI_CHECK(vals.size() == static_cast<std::size_t>(b.volume()),
                  "redistribute: slab size mismatch");
-      std::size_t k = 0;
-      detail::for_each_in_box(b, [&](GIndex<R> g) { dst.at(g) = vals[k++]; });
-      unpacked += static_cast<double>(k);
+      unpacked += static_cast<double>(detail::unpack_cells(
+          dst, detail::cells_of(b), /*ghosts=*/false, std::span<const T>(vals)));
     }
     ctx.compute(unpacked);
   });

@@ -69,18 +69,19 @@ inline TRange strided_steps(int glo, int ghi, int off, int stride, int tmax) {
   return r;
 }
 
-/// Shared peer-enumeration walker behind for_each_strided_peer and its
-/// halo-expanded variant.  Visits every rank of box-eligible `A` whose
-/// receive set intersects the transfer set (`within`'s ranges on off-dims,
-/// steps `tr` through off + t * stride along `dim`), passing the rank, the
-/// off-dim overlap box, and the step subrange.  O(peers), like
-/// for_each_intersecting_peer; ranks whose block skips every strided step
-/// (stride larger than the block) are filtered out, identically on both
-/// endpoints.  With `expand_halo`, each rank's receive set is its owned
-/// block expanded by A's halo margins and clipped to the global domain
-/// (one extra owner coordinate per side covers the expansion — the caller
-/// guarantees no halo is wider than a block); without it, exactly the
-/// owned blocks.
+/// Peer enumeration of the box fast path.  Visits every rank of
+/// box-eligible `A` whose receive set intersects the transfer set
+/// (`within`'s ranges on off-dims, steps `tr` through off + t * stride
+/// along `dim`), passing the rank, the off-dim overlap box, and the step
+/// subrange.  O(peers), like for_each_intersecting_peer; ranks whose block
+/// skips every strided step (stride larger than the block) are filtered
+/// out, identically on both endpoints.  With `expand_halo` (the halo-fused
+/// remap, where a receiver's ghost cells arrive in the same messages as its
+/// owned cells), each rank's receive set is its owned block expanded by
+/// A's halo margins and clipped to the global domain (one extra owner
+/// coordinate per side covers the expansion — the caller guarantees no
+/// halo is wider than a block); without it, exactly the owned blocks (an
+/// existing halo on A is storage margin, not part of the transfer).
 template <class T, int R, class Fn>
 void strided_peer_walk(const DistArray<T, R>& A, const Box<R>& within,
                        int dim, TRange tr, int off, int stride,
@@ -150,46 +151,18 @@ void strided_peer_walk(const DistArray<T, R>& A, const Box<R>& within,
   }
 }
 
-/// Peer enumeration against each rank's owned blocks (the plain
-/// copy_strided_dim paths — an existing halo on A is storage margin, not
-/// part of the transfer).
-template <class T, int R, class Fn>
-void for_each_strided_peer(const DistArray<T, R>& A, const Box<R>& within,
-                           int dim, TRange tr, int off, int stride, Fn fn) {
-  strided_peer_walk(A, within, dim, tr, off, stride, /*expand_halo=*/false,
-                    fn);
-}
-
-/// Visit the slab (off-dim box `b`, steps [t.lo, t.hi]) in row-major order
-/// — the agreed wire order — passing global indices with dimension `dim`
-/// mapped through off + t * stride.
-template <int R, class Fn>
-void for_each_strided_in_box(const Box<R>& b, TRange t, int dim, int off,
-                             int stride, Fn fn) {
+/// The cells of one slab (off-dim box `b`, steps [t.lo, t.hi]) on one
+/// endpoint: dimension `dim` runs through off + t * stride.  Row-major over
+/// (b, t) is the agreed wire order — the strided dim mapping is monotone,
+/// so source and destination walks pair up cell for cell.
+template <int R>
+Cells<R> strided_cells(const Box<R>& b, TRange t, int dim, int off, int stride) {
   const auto ud = static_cast<std::size_t>(dim);
-  Box<R> e = b;
-  e.lo[ud] = t.lo;
-  e.hi[ud] = t.hi;
-  if (e.empty()) {
-    return;
-  }
-  for_each_in_box(e, [&](GIndex<R> g) {
-    g[ud] = off + g[ud] * stride;
-    fn(g);
-  });
-}
-
-/// Peer enumeration against each rank's owned block *expanded by A's halo
-/// margins* (clipped to the global domain) — the halo-fused remap, where a
-/// receiver's ghost cells arrive in the same messages as its owned cells.
-/// Requires every block of a halo dim to be at least as wide as the halo
-/// (checked by the caller).
-template <class T, int R, class Fn>
-void for_each_strided_peer_halo(const DistArray<T, R>& A, const Box<R>& within,
-                                int dim, TRange tr, int off, int stride,
-                                Fn fn) {
-  strided_peer_walk(A, within, dim, tr, off, stride, /*expand_halo=*/true,
-                    fn);
+  Cells<R> c = cells_of(b);
+  c.first[ud] = off + t.lo * stride;
+  c.step[ud] = stride;
+  c.n[ud] = t.hi - t.lo + 1;
+  return c;
 }
 
 /// Shared argument validation for both copy_strided_dim implementations.
@@ -213,67 +186,60 @@ void check_strided_args(const DistArray<T, R>& src, const DistArray<T, R>& dst,
              "copy_strided_dim: negative offset");
 }
 
-/// Shared machinery of copy_strided_dim_begin / copy_strided_dim_halo_begin
-/// (the Overlap::kOn split-phase forms): post every receive nonblocking in
-/// round order, fire the identical sends the blocking path fires in the
-/// same round order, charge the pack compute, copy the self-overlap inside
-/// the wire window, and hand back a PendingExchange whose finish() waits
-/// and unpacks.  `fuse_halo` selects the halo-expanded receive boxes and
-/// frame() writes of the fused variant.
+/// copy_strided_dim_halo's precondition: every block of a halo dim of dst
+/// is at least as wide as the halo.
 template <class T, int R>
-[[nodiscard]] PendingExchange strided_copy_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count,
-    IssueOrder order, bool fuse_halo) {
-  const auto ud = static_cast<std::size_t>(dim);
-  check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off, count);
-  KALI_CHECK(box_eligible(src) && box_eligible(dst),
-             "copy_strided_dim_begin: requires block/star layouts");
-  if (fuse_halo) {
-    for (int d = 0; d < R; ++d) {
-      const int h = dst.halo(d);
-      if (h > 0) {
-        const int np = dst.view().extent(dst.proc_dim(d));
-        for (int c = 0; c < np; ++c) {
-          KALI_CHECK(dst.map(d).count(c) >= h,
-                     "copy_strided_dim_halo: halo wider than a block");
-        }
+void check_halo_fits(const DistArray<T, R>& dst) {
+  for (int d = 0; d < R; ++d) {
+    const int h = dst.halo(d);
+    if (h > 0) {
+      const int np = dst.view().extent(dst.proc_dim(d));
+      for (int c = 0; c < np; ++c) {
+        KALI_CHECK(dst.map(d).count(c) >= h,
+                   "copy_strided_dim_halo: halo wider than a block");
       }
     }
   }
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (count == 0 || (!in_src && !in_dst)) {
-    return {};
-  }
-  const std::vector<int> members =
-      union_members(src.view().ranks(), dst.view().ranks());
+}
 
-  struct Slab {
-    Box<R> b;  ///< off-dim overlap (dim slot unused)
-    TRange t;  ///< transfer steps shared with the peer
-  };
-  std::vector<std::pair<int, Slab>> out;
-  std::vector<std::pair<int, Slab>> in;
-  std::vector<Slab> self;  // self-overlap, copied inside the wire window
-  if (in_src) {
+/// The calling rank's part of a box-layout strided copy, each transfer
+/// listed by the cells it covers on this endpoint.
+template <int R>
+struct StridedTransfers {
+  std::vector<std::pair<int, Cells<R>>> out;  ///< (dst rank, my source cells)
+  std::vector<std::pair<int, Cells<R>>> in;   ///< (src rank, my destination cells)
+  std::vector<std::pair<Cells<R>, Cells<R>>> self;  ///< self-overlap (from, to)
+};
+
+/// Enumerate the transfers in O(peers): the sender walks the receivers
+/// whose receive sets meet its owned box, the receiver the senders whose
+/// owned boxes meet its receive set.  With `fuse_halo` a receive set is the
+/// owned box expanded by dst's halo margins, clipped to the domain (frame
+/// cells are never exchanged); otherwise exactly the owned box.
+template <class T, int R>
+StridedTransfers<R> strided_transfers(Context& ctx, const DistArray<T, R>& src,
+                                      const DistArray<T, R>& dst, int dim,
+                                      int s_stride, int s_off, int d_stride,
+                                      int d_off, int count, bool fuse_halo) {
+  const auto ud = static_cast<std::size_t>(dim);
+  StridedTransfers<R> x;
+  if (src.participating()) {
     const Box<R> mine = owned_box(src);
     const TRange tm =
         strided_steps(mine.lo[ud], mine.hi[ud], s_off, s_stride, count - 1);
     if (!mine.empty() && !tm.empty()) {
       strided_peer_walk(dst, mine, dim, tm, d_off, d_stride, fuse_halo,
                         [&](int rank, const Box<R>& b, TRange t) {
-                          if (rank != ctx.rank()) {
-                            out.emplace_back(rank, Slab{b, t});
+                          if (rank != ctx.rank()) {  // self: receiver side
+                            x.out.emplace_back(
+                                rank, strided_cells(b, t, dim, s_off, s_stride));
                           }
                         });
     }
   }
-  if (in_dst) {
+  if (dst.participating()) {
     Box<R> mine = owned_box(dst);
     if (fuse_halo) {
-      // Receive region: owned box expanded by the halo margins, clipped to
-      // the domain (exactly copy_strided_dim_halo's expanded_box).
       for (int d = 0; d < R; ++d) {
         const auto sd = static_cast<std::size_t>(d);
         mine.lo[sd] = std::max(0, mine.lo[sd] - dst.halo(d));
@@ -286,37 +252,103 @@ template <class T, int R>
       strided_peer_walk(src, mine, dim, tm, s_off, s_stride,
                         /*expand_halo=*/false,
                         [&](int rank, const Box<R>& b, TRange t) {
+                          Cells<R> to = strided_cells(b, t, dim, d_off, d_stride);
                           if (rank == ctx.rank()) {
-                            self.push_back(Slab{b, t});
+                            x.self.emplace_back(
+                                strided_cells(b, t, dim, s_off, s_stride), to);
                           } else {
-                            in.emplace_back(rank, Slab{b, t});
+                            x.in.emplace_back(rank, to);
                           }
                         });
     }
   }
+  return x;
+}
+
+/// The blocking box fast path behind copy_strided_dim (`fuse_halo` off)
+/// and copy_strided_dim_halo (on, ghost targets written through frame()):
+/// copy the self-overlap, then one scheduled exchange of contiguous slabs.
+template <class T, int R>
+void strided_copy(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
+                  int dim, int s_stride, int s_off, int d_stride, int d_off,
+                  int count, IssueOrder order, bool fuse_halo) {
+  if (!src.participating() && !dst.participating()) {
+    return;
+  }
+  const std::vector<int> members =
+      union_members(src.view().ranks(), dst.view().ranks());
+  StridedTransfers<R> x = strided_transfers(ctx, src, dst, dim, s_stride, s_off,
+                                            d_stride, d_off, count, fuse_halo);
+  std::vector<T> buf;
+  double unpacked = 0;
+  for (const auto& [from, to] : x.self) {
+    copy_cells(src, from, dst, to, fuse_halo, buf);
+    unpacked += static_cast<double>(to.volume());
+  }
+  double packed = 0;
+  auto send_one = [&](int rank, const Cells<R>& cells) {
+    buf.clear();
+    pack_cells(src, cells, buf);
+    ctx.send_span<T>(rank, kTagRemap, std::span<const T>(buf));
+    packed += static_cast<double>(buf.size());
+  };
+  auto recv_one = [&](int rank, const Cells<R>& cells) {
+    auto vals = ctx.recv_vec<T>(rank, kTagRemap);
+    KALI_CHECK(vals.size() == static_cast<std::size_t>(cells.volume()),
+               fuse_halo ? "copy_strided_dim_halo: slab size mismatch"
+                         : "copy_strided_dim: slab size mismatch");
+    unpacked += static_cast<double>(
+        unpack_cells(dst, cells, fuse_halo, std::span<const T>(vals)));
+  };
+  issue_exchange(
+      members, ctx.rank(), order, x.out, x.in, send_one, recv_one,
+      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+}
+
+/// Shared machinery of copy_strided_dim_begin / copy_strided_dim_halo_begin
+/// (the Overlap::kOn split-phase forms): post every receive nonblocking in
+/// round order, fire the identical sends the blocking path fires in the
+/// same round order, charge the pack compute, copy the self-overlap inside
+/// the wire window, and hand back a PendingExchange whose finish() waits
+/// and unpacks.  `fuse_halo` selects the halo-expanded receive boxes and
+/// frame() writes of the fused variant.
+template <class T, int R>
+[[nodiscard]] PendingExchange strided_copy_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
+    int s_stride, int s_off, int d_stride, int d_off, int count,
+    IssueOrder order, bool fuse_halo) {
+  check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off, count);
+  KALI_CHECK(box_eligible(src) && box_eligible(dst),
+             "copy_strided_dim_begin: requires block/star layouts");
+  if (fuse_halo) {
+    check_halo_fits(dst);
+  }
+  if (count == 0 || (!src.participating() && !dst.participating())) {
+    return {};
+  }
+  const std::vector<int> members =
+      union_members(src.view().ranks(), dst.view().ranks());
+  StridedTransfers<R> x = strided_transfers(ctx, src, dst, dim, s_stride, s_off,
+                                            d_stride, d_off, count, fuse_halo);
 
   // Post every receive before the first send (round order, zero model
   // cost): the whole wire window is eligible for hiding.
-  round_sort(in, members, ctx.rank(), order);
-  auto stage = std::make_shared<std::vector<std::vector<T>>>(in.size());
+  round_sort(x.in, members, ctx.rank(), order);
+  auto stage = std::make_shared<std::vector<std::vector<T>>>(x.in.size());
   auto hs = std::make_shared<std::vector<CommHandle>>();
-  hs->reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    Box<R> e = in[i].second.b;
-    e.lo[ud] = in[i].second.t.lo;
-    e.hi[ud] = in[i].second.t.hi;
-    (*stage)[i].resize(static_cast<std::size_t>(e.volume()));
+  hs->reserve(x.in.size());
+  for (std::size_t i = 0; i < x.in.size(); ++i) {
+    (*stage)[i].resize(static_cast<std::size_t>(x.in[i].second.volume()));
     hs->push_back(
-        ctx.irecv_into<T>(in[i].first, kTagRemap, std::span<T>((*stage)[i])));
+        ctx.irecv_into<T>(x.in[i].first, kTagRemap, std::span<T>((*stage)[i])));
   }
 
-  round_sort(out, members, ctx.rank(), order);
+  round_sort(x.out, members, ctx.rank(), order);
   std::vector<T> buf;
   double packed = 0;
-  for (auto& [rank, slab] : out) {
+  for (auto& [rank, cells] : x.out) {
     buf.clear();
-    for_each_strided_in_box(slab.b, slab.t, dim, s_off, s_stride,
-                            [&](GIndex<R> g) { buf.push_back(src.at(g)); });
+    pack_cells(src, cells, buf);
     // kali-lint: allow(raw-exchange) — split-phase form: receives are already
     // posted as irecvs above, so there is no recv_one closure to pair with.
     ctx.send_span<T>(rank, kTagRemap, std::span<const T>(buf));
@@ -327,46 +359,24 @@ template <class T, int R>
   // Self-overlap copies, charged inside the wire window (the blocking path
   // charges the identical element count with the unpack at the end).
   double copied = 0;
-  for (const Slab& slab : self) {
-    for_each_strided_in_box(slab.b, slab.t, dim, 0, 1, [&](GIndex<R> g) {
-      GIndex<R> gs = g;
-      GIndex<R> gd = g;
-      gs[ud] = s_off + g[ud] * s_stride;
-      gd[ud] = d_off + g[ud] * d_stride;
-      if (fuse_halo) {
-        dst.frame(gd) = src.at(gs);
-      } else {
-        dst.at(gd) = src.at(gs);
-      }
-      copied += 1.0;
-    });
+  for (const auto& [from, to] : x.self) {
+    copy_cells(src, from, dst, to, fuse_halo, buf);
+    copied += static_cast<double>(to.volume());
   }
   ctx.compute(copied);
 
   auto slabs =
-      std::make_shared<std::vector<std::pair<int, Slab>>>(std::move(in));
-  return PendingExchange([&ctx, &dst, stage, hs, slabs, dim, ud, d_off,
-                          d_stride, fuse_halo] {
+      std::make_shared<std::vector<std::pair<int, Cells<R>>>>(std::move(x.in));
+  return PendingExchange([&ctx, &dst, stage, hs, slabs, fuse_halo] {
     ctx.wait_all(std::span<CommHandle>(*hs));
     double unpacked = 0;
     for (std::size_t i = 0; i < slabs->size(); ++i) {
-      const Slab& slab = (*slabs)[i].second;
+      const Cells<R>& cells = (*slabs)[i].second;
       const std::vector<T>& vals = (*stage)[i];
-      Box<R> e = slab.b;  // payload size check before unpacking
-      e.lo[ud] = slab.t.lo;
-      e.hi[ud] = slab.t.hi;
-      KALI_CHECK(vals.size() == static_cast<std::size_t>(e.volume()),
+      KALI_CHECK(vals.size() == static_cast<std::size_t>(cells.volume()),
                  "copy_strided_dim: slab size mismatch");
-      std::size_t k = 0;
-      for_each_strided_in_box(slab.b, slab.t, dim, d_off, d_stride,
-                              [&](GIndex<R> g) {
-                                if (fuse_halo) {
-                                  dst.frame(g) = vals[k++];
-                                } else {
-                                  dst.at(g) = vals[k++];
-                                }
-                              });
-      unpacked += static_cast<double>(k);
+      unpacked += static_cast<double>(
+          unpack_cells(dst, cells, fuse_halo, std::span<const T>(vals)));
     }
     ctx.compute(unpacked);
   });
@@ -508,7 +518,6 @@ void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
                       int d_stride, int d_off, int count,
                       IssueOrder order = IssueOrder::kRoundSchedule,
                       Overlap overlap = Overlap::kOff) {
-  const auto ud = static_cast<std::size_t>(dim);
   detail::check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off,
                              count);
   if (count == 0) {
@@ -527,88 +536,8 @@ void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
     return;
   }
 
-  // ---- box fast path: contiguous slab exchange ---------------------------
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
-    return;
-  }
-  const std::vector<int> members =
-      detail::union_members(src.view().ranks(), dst.view().ranks());
-
-  struct Slab {
-    detail::Box<R> b;  ///< off-dim overlap (dim slot unused)
-    detail::TRange t;  ///< transfer steps shared with the peer
-  };
-
-  std::vector<std::pair<int, Slab>> out;
-  std::vector<std::pair<int, Slab>> in;
-  double unpacked = 0;
-  if (in_src) {
-    const detail::Box<R> mine = detail::owned_box(src);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], s_off, s_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer(
-          dst, mine, dim, tm, d_off, d_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank != ctx.rank()) {  // self-overlap copied on recv side
-              out.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  if (in_dst) {
-    const detail::Box<R> mine = detail::owned_box(dst);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], d_off, d_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer(
-          src, mine, dim, tm, s_off, s_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank == ctx.rank()) {
-              // Self-overlap: both owners are this rank — local copy.
-              detail::for_each_strided_in_box(
-                  b, t, dim, 0, 1, [&](GIndex<R> g) {
-                    GIndex<R> gs = g;
-                    GIndex<R> gd = g;
-                    gs[ud] = s_off + g[ud] * s_stride;
-                    gd[ud] = d_off + g[ud] * d_stride;
-                    dst.at(gd) = src.at(gs);
-                    unpacked += 1.0;
-                  });
-            } else {
-              in.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  std::vector<T> buf;
-  double packed = 0;
-  auto send_one = [&](int rank, const Slab& slab) {
-    buf.clear();
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, s_off, s_stride,
-        [&](GIndex<R> g) { buf.push_back(src.at(g)); });
-    ctx.send_span<T>(rank, kTagRemap, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  };
-  auto recv_one = [&](int rank, const Slab& slab) {
-    auto vals = ctx.recv_vec<T>(rank, kTagRemap);
-    detail::Box<R> e = slab.b;  // payload size check before unpacking
-    e.lo[ud] = slab.t.lo;
-    e.hi[ud] = slab.t.hi;
-    KALI_CHECK(vals.size() == static_cast<std::size_t>(e.volume()),
-               "copy_strided_dim: slab size mismatch");
-    std::size_t k = 0;
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, d_off, d_stride,
-        [&](GIndex<R> g) { dst.at(g) = vals[k++]; });
-    unpacked += static_cast<double>(k);
-  };
-  detail::issue_exchange(
-      members, ctx.rank(), order, out, in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+  detail::strided_copy(ctx, src, dst, dim, s_stride, s_off, d_stride, d_off,
+                       count, order, /*fuse_halo=*/false);
 }
 
 /// copy_strided_dim + dst.exchange_halo() fused into one scheduled exchange
@@ -638,118 +567,16 @@ void copy_strided_dim_halo(Context& ctx, const DistArray<T, R>& src,
         .finish();
     return;
   }
-  const auto ud = static_cast<std::size_t>(dim);
   detail::check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off,
                              count);
   KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
              "copy_strided_dim_halo: requires block/star layouts");
-  for (int d = 0; d < R; ++d) {
-    const int h = dst.halo(d);
-    if (h > 0) {
-      const int np = dst.view().extent(dst.proc_dim(d));
-      for (int c = 0; c < np; ++c) {
-        KALI_CHECK(dst.map(d).count(c) >= h,
-                   "copy_strided_dim_halo: halo wider than a block");
-      }
-    }
-  }
+  detail::check_halo_fits(dst);
   if (count == 0) {
     return;
   }
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
-    return;
-  }
-  const std::vector<int> members =
-      detail::union_members(src.view().ranks(), dst.view().ranks());
-
-  // dst's receive region: owned box expanded by the halo margins, clipped
-  // to the domain (frame cells are never exchanged).
-  auto expanded_box = [&](const DistArray<T, R>& A) {
-    detail::Box<R> b = detail::owned_box(A);
-    for (int d = 0; d < R; ++d) {
-      const auto sd = static_cast<std::size_t>(d);
-      b.lo[sd] = std::max(0, b.lo[sd] - A.halo(d));
-      b.hi[sd] = std::min(A.extent(d) - 1, b.hi[sd] + A.halo(d));
-    }
-    return b;
-  };
-
-  struct Slab {
-    detail::Box<R> b;  ///< off-dim overlap (dim slot unused)
-    detail::TRange t;  ///< transfer steps shared with the peer
-  };
-
-  std::vector<std::pair<int, Slab>> out;
-  std::vector<std::pair<int, Slab>> in;
-  double unpacked = 0;
-  if (in_src) {
-    const detail::Box<R> mine = detail::owned_box(src);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], s_off, s_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer_halo(
-          dst, mine, dim, tm, d_off, d_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank != ctx.rank()) {  // self-overlap copied on recv side
-              out.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  if (in_dst) {
-    const detail::Box<R> mine = expanded_box(dst);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], d_off, d_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer(
-          src, mine, dim, tm, s_off, s_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank == ctx.rank()) {
-              // Self-overlap: both owners are this rank — local copy
-              // (ghost targets included, written through frame()).
-              detail::for_each_strided_in_box(
-                  b, t, dim, 0, 1, [&](GIndex<R> g) {
-                    GIndex<R> gs = g;
-                    GIndex<R> gd = g;
-                    gs[ud] = s_off + g[ud] * s_stride;
-                    gd[ud] = d_off + g[ud] * d_stride;
-                    dst.frame(gd) = src.at(gs);
-                    unpacked += 1.0;
-                  });
-            } else {
-              in.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  std::vector<T> buf;
-  double packed = 0;
-  auto send_one = [&](int rank, const Slab& slab) {
-    buf.clear();
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, s_off, s_stride,
-        [&](GIndex<R> g) { buf.push_back(src.at(g)); });
-    ctx.send_span<T>(rank, kTagRemap, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  };
-  auto recv_one = [&](int rank, const Slab& slab) {
-    auto vals = ctx.recv_vec<T>(rank, kTagRemap);
-    detail::Box<R> e = slab.b;  // payload size check before unpacking
-    e.lo[ud] = slab.t.lo;
-    e.hi[ud] = slab.t.hi;
-    KALI_CHECK(vals.size() == static_cast<std::size_t>(e.volume()),
-               "copy_strided_dim_halo: slab size mismatch");
-    std::size_t k = 0;
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, d_off, d_stride,
-        [&](GIndex<R> g) { dst.frame(g) = vals[k++]; });
-    unpacked += static_cast<double>(k);
-  };
-  detail::issue_exchange(
-      members, ctx.rank(), order, out, in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+  detail::strided_copy(ctx, src, dst, dim, s_stride, s_off, d_stride, d_off,
+                       count, order, /*fuse_halo=*/true);
 }
 
 }  // namespace kali

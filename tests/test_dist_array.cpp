@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "machine/context.hpp"
 #include "runtime/io.hpp"
@@ -766,6 +768,384 @@ TEST(DistArray, BoundaryFrameReadsZeroAndIsWritable) {
     }
     // Beyond the frame is still an error.
     EXPECT_THROW((void)a.at_halo({ctx.rank() == 0 ? -2 : 9}), Error);
+  });
+}
+
+// ---- accessor equivalence: slab-origin addressing vs the DimMap definition
+
+/// What `f` throws, or "" when it returns normally.
+template <class F>
+std::string thrown(F f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Whether `what` is a KALI_CHECK failure carrying exactly message `msg`.
+bool carries(const std::string& what, const std::string& msg) {
+  return what.find(" — " + msg + " (") != std::string::npos;
+}
+
+/// at()'s contract from the DimMap definition: "" when g is owned, else the
+/// message of the first dim that rejects it.
+template <int R>
+std::string owned_verdict(const DistArray<double, R>& a, const GIndex<R>& g) {
+  for (int d = 0; d < R; ++d) {
+    const int x = g[static_cast<std::size_t>(d)];
+    if (x < 0 || x >= a.extent(d)) {
+      return "index out of range";
+    }
+    if (a.map(d).owner(x) != a.my_coord(d)) {
+      return "index not owned";
+    }
+  }
+  return "";
+}
+
+/// at_halo()/frame()'s contract: a block dim admits [lower - halo,
+/// upper + halo], frame cells past the domain included; any other dim
+/// admits the owned indices.
+template <int R>
+std::string halo_verdict(const DistArray<double, R>& a, const GIndex<R>& g) {
+  for (int d = 0; d < R; ++d) {
+    const int x = g[static_cast<std::size_t>(d)];
+    if (a.dist_kind(d) == DistKind::kBlock) {
+      const int rel = x - a.map(d).block_lower(a.my_coord(d));
+      if (rel < -a.halo(d) || rel >= a.local_count(d) + a.halo(d)) {
+        return "at_halo: outside slab+halo";
+      }
+    } else if (x < 0 || x >= a.extent(d) || a.map(d).owner(x) != a.my_coord(d)) {
+      return "at_halo: not owned";
+    }
+  }
+  return "";
+}
+
+/// The cell the definition names for an admitted g of a freshly built
+/// array: its slab is row-major over [-halo, count + halo) per dim, at
+/// slab-relative DimMap::local(g) (block dims: g - lower, reaching into
+/// the halo).  Anchored at the slab's first cell.
+template <int R>
+auto slab_cells(DistArray<double, R>& a) {
+  GIndex<R> corner{};
+  std::array<std::ptrdiff_t, static_cast<std::size_t>(R)> stride{};
+  std::ptrdiff_t size = 1;
+  for (int d = R - 1; d >= 0; --d) {
+    const auto ud = static_cast<std::size_t>(d);
+    stride[ud] = size;
+    size *= a.local_count(d) + 2 * a.halo(d);
+    corner[ud] = a.dist_kind(d) == DistKind::kBlock
+                     ? a.map(d).block_lower(a.my_coord(d)) - a.halo(d)
+                     : (a.local_count(d) > 0 ? a.map(d).global(a.my_coord(d), 0) : 0);
+  }
+  const double* base = size > 0 ? &a.frame(corner) : nullptr;
+  return [&a, stride, base](const GIndex<R>& g) {
+    std::ptrdiff_t f = 0;
+    for (int d = 0; d < R; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      const int rel = a.dist_kind(d) == DistKind::kBlock
+                          ? g[ud] - a.map(d).block_lower(a.my_coord(d))
+                          : a.map(d).local(g[ud]);
+      f += (rel + a.halo(d)) * stride[ud];
+    }
+    return base + f;
+  };
+}
+
+/// Sweep every g of the global box widened by the halo plus two on each
+/// side: at(), at_halo() and frame() must admit exactly the indices their
+/// verdicts admit, address the cell `cell_of` names, and reject the rest
+/// with the verdict's message.  The admitted counts pin the sweep to the
+/// slab's exact size.
+template <int R, class CellOf>
+void check_accessors(DistArray<double, R>& a, CellOf cell_of) {
+  if (!a.participating()) {
+    return;
+  }
+  const DistArray<double, R>& ca = a;
+  GIndex<R> lo{};
+  GIndex<R> hi{};
+  std::int64_t owned_cells = 1;
+  std::int64_t slab_cells_n = 1;
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    lo[ud] = -a.halo(d) - 2;
+    hi[ud] = a.extent(d) + a.halo(d) + 2;
+    owned_cells *= a.local_count(d);
+    slab_cells_n *= a.local_count(d) + 2 * a.halo(d);
+  }
+  std::int64_t owned_seen = 0;
+  std::int64_t slab_seen = 0;
+  GIndex<R> g = lo;
+  for (;;) {
+    const std::string ov = owned_verdict(a, g);
+    const std::string hv = halo_verdict(a, g);
+    if (ov.empty()) {
+      ++owned_seen;
+      EXPECT_EQ(&a.at(g), cell_of(g));
+      EXPECT_EQ(&ca.at(g), cell_of(g));
+    } else {
+      EXPECT_TRUE(carries(thrown([&] { (void)a.at(g); }), ov)) << ov;
+    }
+    if (hv.empty()) {
+      ++slab_seen;
+      EXPECT_EQ(&ca.at_halo(g), cell_of(g));
+      EXPECT_EQ(&a.frame(g), cell_of(g));
+    } else {
+      EXPECT_TRUE(carries(thrown([&] { (void)ca.at_halo(g); }), hv)) << hv;
+      EXPECT_TRUE(carries(thrown([&] { (void)a.frame(g); }), hv)) << hv;
+    }
+    int d = R - 1;
+    for (; d >= 0; --d) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (++g[ud] < hi[ud]) {
+        break;
+      }
+      g[ud] = lo[ud];
+    }
+    if (d < 0) {
+      break;
+    }
+  }
+  EXPECT_EQ(owned_seen, owned_cells);
+  EXPECT_EQ(slab_seen, slab_cells_n);
+}
+
+template <int R>
+void check_fresh_layout(Context& ctx, const ProcView& pv, GIndex<R> ext,
+                        std::array<DimDist, static_cast<std::size_t>(R)> dists,
+                        GIndex<R> halo = {}) {
+  DistArray<double, R> a(ctx, pv, ext, dists, halo);
+  if (a.participating()) {
+    check_accessors(a, slab_cells(a));
+  }
+}
+
+TEST(DistArray, AccessorsMatchDimMapOnEveryLayout) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    const ProcView line = ProcView::grid1(4);
+    const ProcView grid = ProcView::grid2(2, 2);
+    // Uneven blocks (3, 3, 3, 1) and a block dim with extent < P, where
+    // rank 3 owns nothing but still has a halo frame.
+    check_fresh_layout<1>(ctx, line, {10}, {DimDist::block_dist()}, {1});
+    check_fresh_layout<1>(ctx, line, {3}, {DimDist::block_dist()}, {1});
+    check_fresh_layout<2>(ctx, grid, {7, 5},
+                          {DimDist::block_dist(), DimDist::block_dist()}, {1, 2});
+    check_fresh_layout<2>(ctx, line, {5, 9},
+                          {DimDist::star(), DimDist::block_dist()}, {0, 2});
+    check_fresh_layout<2>(ctx, grid, {10, 11},
+                          {DimDist::cyclic(), DimDist::block_cyclic(2)});
+    check_fresh_layout<2>(ctx, grid, {7, 9},
+                          {DimDist::block_dist(), DimDist::cyclic()}, {1, 0});
+  });
+}
+
+TEST(DistArray, AccessorsMatchDimMapOnViews) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    const ProcView grid = ProcView::grid2(2, 2);
+    DistArray3<double> p3(ctx, grid, {7, 4, 6},
+                          {DimDist::block_dist(), DimDist::star(),
+                           DimDist::block_dist()},
+                          {1, 0, 1});
+    // fix of a star dim: same view, storage base moved to plane 2.
+    auto plane = p3.fix(1, 2);
+    check_accessors(plane, [&](const GIndex<2>& g) {
+      return &p3.frame({g[0], 2, g[1]});
+    });
+    // fix of a block dim: only the owners of index 4 keep the storage.
+    auto face = p3.fix(0, 4);
+    check_accessors(face, [&](const GIndex<2>& g) {
+      return &p3.frame({4, g[0], g[1]});
+    });
+
+    DistArray2<double> p2(ctx, grid, {8, 6},
+                          {DimDist::block_dist(), DimDist::block_dist()}, {1, 1});
+    // localize of a block dim inside owner 1's block [4, 8): a star dim.
+    auto rows = p2.localize(0, 5, 2);
+    check_accessors(rows, [&](const GIndex<2>& g) {
+      return &p2.frame({5 + g[0], g[1]});
+    });
+
+    DistArray2<double> s2(ctx, ProcView::grid1(4), {7, 9},
+                          {DimDist::star(), DimDist::block_dist()});
+    // localize window of a star dim: every member, storage base moved.
+    auto window = s2.localize(0, 2, 3);
+    check_accessors(window, [&](const GIndex<2>& g) {
+      return &s2.at({2 + g[0], g[1]});
+    });
+  });
+}
+
+// ---- for_each_cell: the box walker vs a per-element accessor walk
+
+struct Walk {
+  std::vector<const double*> cells;
+  std::string error;  ///< what the walk stopped with ("" if it finished)
+
+  bool operator==(const Walk&) const = default;
+};
+
+/// Walk the strided box cell by cell through at() (frame() with `ghosts`).
+template <int R>
+Walk walk_by_accessor(DistArray<double, R>& a, GIndex<R> first, GIndex<R> step,
+                      GIndex<R> n, bool ghosts) {
+  Walk w;
+  w.error = thrown([&] {
+    for (int d = 0; d < R; ++d) {
+      if (n[static_cast<std::size_t>(d)] <= 0) {
+        return;
+      }
+    }
+    GIndex<R> t{};
+    for (;;) {
+      GIndex<R> g{};
+      for (int d = 0; d < R; ++d) {
+        const auto ud = static_cast<std::size_t>(d);
+        g[ud] = first[ud] + t[ud] * step[ud];
+      }
+      w.cells.push_back(ghosts ? &a.frame(g) : &a.at(g));
+      int d = R - 1;
+      for (; d >= 0; --d) {
+        const auto ud = static_cast<std::size_t>(d);
+        if (++t[ud] < n[ud]) {
+          break;
+        }
+        t[ud] = 0;
+      }
+      if (d < 0) {
+        return;
+      }
+    }
+  });
+  return w;
+}
+
+template <int R>
+Walk walk_by_cells(DistArray<double, R>& a, GIndex<R> first, GIndex<R> step,
+                   GIndex<R> n, bool ghosts) {
+  Walk w;
+  w.error = thrown([&] {
+    a.for_each_cell(first, step, n, ghosts, [&](double& c) { w.cells.push_back(&c); });
+  });
+  return w;
+}
+
+template <int R>
+Walk walk_by_const_cells(const DistArray<double, R>& a, GIndex<R> first,
+                         GIndex<R> step, GIndex<R> n, bool ghosts) {
+  Walk w;
+  w.error = thrown([&] {
+    a.for_each_cell(first, step, n, ghosts,
+                    [&](const double& c) { w.cells.push_back(&c); });
+  });
+  return w;
+}
+
+/// One axis of a box sweep: every (first, step, n) combination listed.
+struct Axis {
+  std::vector<int> firsts;
+  std::vector<int> steps;
+  std::vector<int> ns;
+};
+
+Axis dense_axis(int extent) {
+  Axis ax{{}, {1, 2}, {0, 1, 3}};
+  for (int f = -2; f <= extent + 1; ++f) {
+    ax.firsts.push_back(f);
+  }
+  return ax;
+}
+
+/// Every box the axes describe, both with and without ghosts: for_each_cell
+/// must visit exactly the cells, in exactly the order, of the per-element
+/// walk, and stop with the same message where that walk throws.  Both
+/// outcomes must occur, so the sweep proves the fast path and the error
+/// path alike.
+template <int R>
+void check_walker(DistArray<double, R>& a,
+                  const std::array<Axis, static_cast<std::size_t>(R)>& axes) {
+  if (!a.participating()) {
+    return;
+  }
+  std::array<std::size_t, static_cast<std::size_t>(R)> size{};
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    size[ud] = axes[ud].firsts.size() * axes[ud].steps.size() * axes[ud].ns.size();
+  }
+  int inside = 0;
+  int outside = 0;
+  std::array<std::size_t, static_cast<std::size_t>(R)> pick{};
+  for (;;) {
+    GIndex<R> first{};
+    GIndex<R> step{};
+    GIndex<R> n{};
+    for (int d = 0; d < R; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      const Axis& ax = axes[ud];
+      std::size_t p = pick[ud];
+      n[ud] = ax.ns[p % ax.ns.size()];
+      p /= ax.ns.size();
+      step[ud] = ax.steps[p % ax.steps.size()];
+      first[ud] = ax.firsts[p / ax.steps.size()];
+    }
+    for (const bool ghosts : {false, true}) {
+      const Walk want = walk_by_accessor(a, first, step, n, ghosts);
+      EXPECT_EQ(walk_by_cells(a, first, step, n, ghosts), want);
+      EXPECT_EQ(walk_by_const_cells(a, first, step, n, ghosts), want);
+      (want.error.empty() ? inside : outside) += 1;
+    }
+    int d = R - 1;
+    for (; d >= 0; --d) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (++pick[ud] < size[ud]) {
+        break;
+      }
+      pick[ud] = 0;
+    }
+    if (d < 0) {
+      break;
+    }
+  }
+  EXPECT_GT(inside, 0);
+  EXPECT_GT(outside, 0);
+}
+
+TEST(DistArray, CellWalkerMatchesAccessorWalk2D) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid2(2, 2), {9, 7},
+                         {DimDist::block_dist(), DimDist::block_dist()}, {1, 1});
+    check_walker<2>(a, {dense_axis(9), dense_axis(7)});
+  });
+}
+
+TEST(DistArray, CellWalkerMatchesAccessorWalk3DAndFixedView) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray3<double> a(ctx, ProcView::grid2(2, 2), {6, 3, 5},
+                         {DimDist::block_dist(), DimDist::star(),
+                          DimDist::block_dist()},
+                         {1, 0, 1});
+    const Axis a0{{-1, 0, 2, 3, 5, 6}, {1, 2}, {2}};
+    const Axis a1{{-1, 0, 1, 2}, {1, 2}, {2}};
+    const Axis a2{{-1, 0, 2, 3, 4, 5}, {1, 2}, {2}};
+    check_walker<3>(a, {a0, a1, a2});
+    auto plane = a.fix(1, 1);  // nonzero storage base
+    check_walker<2>(plane, {dense_axis(6), dense_axis(5)});
+  });
+}
+
+TEST(DistArray, CellWalkerMatchesAccessorWalkCyclic) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid2(2, 2), {7, 6},
+                         {DimDist::cyclic(), DimDist::block_dist()}, {0, 1});
+    check_walker<2>(a, {dense_axis(7), dense_axis(6)});
   });
 }
 
