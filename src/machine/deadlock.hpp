@@ -1,7 +1,8 @@
 // Wait-for-graph deadlock detection for blocking matched receives.
 //
-// Every rank that blocks in Mailbox::recv publishes a wait edge
-// (waiter -> expected (src, tag)) before sleeping.  A waiting rank is
+// Every rank that parks in a mailbox wait (Mailbox::recv or the
+// await_matches of a nonblocking completion) publishes a wait edge
+// (waiter -> expected (src, tag)) before parking.  A waiting rank is
 // *live* if a matching message is already queued in its mailbox, or if
 // some rank that could still produce one is live.  If a waiter ends up
 // outside the live set, the waiters form a closed wait-for graph no
@@ -42,7 +43,8 @@
 //    the detector lock cannot be invalidated by a concurrent pop.
 //
 // Lock order: detector mutex, then mailbox mutex (inside probe/snapshot).
-// Mailbox::recv never calls into the detector while holding its own lock.
+// The mailbox's wait loop never calls into the detector while holding its
+// own lock.
 #pragma once
 
 #include <cstdint>

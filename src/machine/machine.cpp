@@ -60,7 +60,7 @@ void Machine::run(const std::function<void(Context&)>& program) {
     detector_->reset();
   }
   // One fiber per rank on a fixed worker pool; an unmatched recv parks
-  // its fiber (mailbox.cpp recv_fiber) instead of blocking a host thread.
+  // its fiber (Mailbox::park_until) instead of blocking a host thread.
   FiberScheduler sched(p, cfg_.sim_workers, cfg_.recv_timeout_wall,
                        cfg_.fiber_stack_bytes);
   if (cfg_.sim_hook != nullptr) {

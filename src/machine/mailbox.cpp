@@ -1,7 +1,6 @@
 #include "machine/mailbox.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "machine/deadlock.hpp"
@@ -19,6 +18,10 @@ namespace {
               " tag=" + std::to_string(tag) +
               " (likely deadlock; wait-for-graph detection " +
               (detector != nullptr ? "did not trip" : "is disabled") + ")");
+}
+
+bool matches(const Message& m, int src, int tag) {
+  return (src == kAnySource || m.src == src) && m.tag == tag;
 }
 
 }  // namespace
@@ -39,8 +42,7 @@ void Mailbox::push(Message m) {
     std::lock_guard<std::mutex> lk(mu_);
     // Does this message satisfy the owner fiber's published wait?  Consume
     // the publication under the lock so exactly one push wakes one park.
-    if (waiting_active_ && m.tag == waiting_tag_ &&
-        (waiting_src_ == kAnySource || m.src == waiting_src_)) {
+    if (waiting_active_ && matches(m, waiting_src_, waiting_tag_)) {
       waiting_active_ = false;
       wake_owner = true;
     }
@@ -51,12 +53,11 @@ void Mailbox::push(Message m) {
     // Outside the mailbox lock: lock order is mailbox, then scheduler.
     sched_->wake(owner_rank_);
   }
-  cv_.notify_all();  // standalone (non-fiber) waiters, if any
 }
 
 std::optional<Message> Mailbox::try_pop_locked(int src, int tag) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if ((src == kAnySource || it->src == src) && it->tag == tag) {
+    if (matches(*it, src, tag)) {
       Message m = std::move(*it);
       queue_.erase(it);
       return m;
@@ -65,19 +66,11 @@ std::optional<Message> Mailbox::try_pop_locked(int src, int tag) {
   return std::nullopt;
 }
 
-bool Mailbox::has_match_locked(int src, int tag) const {
-  for (const auto& m : queue_) {
-    if ((src == kAnySource || m.src == src) && m.tag == tag) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t Mailbox::match_count_locked(int src, int tag) const {
+std::size_t Mailbox::match_count_locked(int src, int tag,
+                                        std::size_t cap) const {
   std::size_t n = 0;
-  for (const auto& m : queue_) {
-    if ((src == kAnySource || m.src == src) && m.tag == tag) {
+  for (auto it = queue_.begin(); n < cap && it != queue_.end(); ++it) {
+    if (matches(*it, src, tag)) {
       ++n;
     }
   }
@@ -86,7 +79,16 @@ std::size_t Mailbox::match_count_locked(int src, int tag) const {
 
 std::size_t Mailbox::match_count(int src, int tag) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return match_count_locked(src, tag);
+  return match_count_locked(src, tag, std::numeric_limits<std::size_t>::max());
+}
+
+void Mailbox::record_match(const Message& m) {
+  if (sched_ != nullptr) {
+    if (HbLog* hb = sched_->hb_log(); hb != nullptr) {
+      hb->match(owner_rank_, m.src, m.seq);
+      hb->write(owner_rank_, HbObj::kMbox, owner_rank_);
+    }
+  }
 }
 
 std::optional<Message> Mailbox::try_pop(int src, int tag) {
@@ -98,11 +100,8 @@ std::optional<Message> Mailbox::try_pop(int src, int tag) {
     }
     m = try_pop_locked(src, tag);
   }
-  if (m.has_value() && sched_ != nullptr) {
-    if (HbLog* hb = sched_->hb_log(); hb != nullptr) {
-      hb->match(owner_rank_, m->src, m->seq);
-      hb->write(owner_rank_, HbObj::kMbox, owner_rank_);
-    }
+  if (m.has_value()) {
+    record_match(*m);
   }
   return m;
 }
@@ -114,13 +113,20 @@ void Mailbox::attach_scheduler(FiberScheduler* sched, int owner_rank) {
   waiting_active_ = false;
 }
 
-Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
-                            DeadlockDetector* detector, int self_rank) {
-  FiberScheduler* sched = sched_;
+template <class Ready>
+void Mailbox::park_until(int src, int tag, std::size_t n,
+                         double timeout_wall_seconds,
+                         DeadlockDetector* detector, int self_rank,
+                         Ready ready) {
+  // Only a fiber of the attached scheduler can park; any other caller may
+  // wait only for what is already queued.
+  FiberScheduler* const sched =
+      sched_ != nullptr && FiberScheduler::current() == sched_ ? sched_
+                                                               : nullptr;
   for (;;) {
-    if (sched->aborted()) {
+    if (sched != nullptr && sched->aborted()) {
       // Scheduler-level abort (e.g. a diagnosed stack overflow) may not
-      // have marked the mailboxes; without this check a parked recv would
+      // have marked the mailboxes; without this check a parked wait would
       // re-park forever against a pool that is shutting down.
       throw Error("recv aborted: the scheduler is shutting down");
     }
@@ -129,17 +135,19 @@ Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
       if (aborted_) {
         throw Error("recv aborted: a peer processor failed");
       }
-      if (auto m = try_pop_locked(src, tag)) {
-        if (HbLog* hb = sched->hb_log(); hb != nullptr) {
-          hb->match(owner_rank_, m->src, m->seq);
-          hb->write(owner_rank_, HbObj::kMbox, owner_rank_);
-        }
-        return std::move(*m);
+      if (ready()) {
+        return;
       }
     }
+    KALI_CHECK(sched != nullptr,
+               "mailbox wait on (src=" + std::to_string(src) +
+                   ", tag=" + std::to_string(tag) +
+                   ") would block a host thread: only a fiber of the "
+                   "attached scheduler (Machine::run) can park");
     // Publish the wait edge with no mailbox lock held (the detector takes
     // its own lock first, then probes mailboxes: single fixed lock order).
     // May throw the deadlock diagnostic if this edge closes a stuck set.
+    // Waiting for the n-th message of a lane is the same (src, tag) edge.
     if (detector != nullptr) {
       detector->enter_wait(self_rank, src, tag);
     }
@@ -151,9 +159,11 @@ Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
     bool parked = true;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (aborted_ || has_match_locked(src, tag)) {
+      if (aborted_ || match_count_locked(src, tag, n) >= n) {
         parked = false;  // already satisfiable: don't suspend
       } else {
+        // Each push consumes the publication and wakes the owner once; the
+        // loop re-parks until n matches are queued.
         waiting_src_ = src;
         waiting_tag_ = tag;
         waiting_active_ = true;
@@ -165,7 +175,7 @@ Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
     } else {
       sched->cancel_park();
     }
-    // Deregister before looping back to pop: the detector's soundness
+    // Deregister before looping back to `ready`: the detector's soundness
     // argument needs "registered waiting" and "consuming" to be disjoint.
     if (detector != nullptr) {
       detector->leave_wait(self_rank);
@@ -177,119 +187,29 @@ Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
       if (aborted_) {
         throw Error("recv aborted: a peer processor failed");
       }
-      if (timed_out && !has_match_locked(src, tag)) {
+      if (timed_out && match_count_locked(src, tag, n) < n) {
         throw_recv_timeout(src, tag, detector);
       }
     }
   }
 }
 
-void Mailbox::await_matches_fiber(int src, int tag, std::size_t n,
-                                  double timeout_wall_seconds,
-                                  DeadlockDetector* detector, int self_rank) {
-  FiberScheduler* sched = sched_;
-  for (;;) {
-    if (sched->aborted()) {
-      throw Error("recv aborted: the scheduler is shutting down");
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (match_count_locked(src, tag) >= n) {
-        return;
-      }
-    }
-    // Publish the wait edge exactly like a blocking recv: waiting for the
-    // k-th message of a lane is a genuine wait-for-graph edge on (src, tag).
-    if (detector != nullptr) {
-      detector->enter_wait(self_rank, src, tag);
-    }
-    sched->prepare_park(timeout_wall_seconds);
-    bool parked = true;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (aborted_ || match_count_locked(src, tag) >= n) {
-        parked = false;
-      } else {
-        // Each push consumes the publication and wakes the owner once; the
-        // loop re-parks until the lane is deep enough.
-        waiting_src_ = src;
-        waiting_tag_ = tag;
-        waiting_active_ = true;
-      }
-    }
-    bool timed_out = false;
-    if (parked) {
-      timed_out = sched->commit_park();
-    } else {
-      sched->cancel_park();
-    }
-    if (detector != nullptr) {
-      detector->leave_wait(self_rank);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      waiting_active_ = false;
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (timed_out && match_count_locked(src, tag) < n) {
-        throw_recv_timeout(src, tag, detector);
-      }
-    }
-  }
+Message Mailbox::recv(int src, int tag, double timeout_wall_seconds,
+                      DeadlockDetector* detector, int self_rank) {
+  std::optional<Message> m;
+  park_until(src, tag, 1, timeout_wall_seconds, detector, self_rank, [&] {
+    m = try_pop_locked(src, tag);
+    return m.has_value();
+  });
+  record_match(*m);
+  return std::move(*m);
 }
 
 void Mailbox::await_matches(int src, int tag, std::size_t n,
                             double timeout_wall_seconds,
                             DeadlockDetector* detector, int self_rank) {
-  if (n == 0) {
-    return;
-  }
-  if (sched_ != nullptr && FiberScheduler::current() == sched_) {
-    await_matches_fiber(src, tag, n, timeout_wall_seconds, detector,
-                        self_rank);
-    return;
-  }
-  // Standalone condition-variable path, mirroring recv()'s fallback.
-  // kali-lint: allow(wall-clock) — wall-clock timeout is the guard's point.
-  using WallClock = std::chrono::steady_clock;
-  const auto deadline = WallClock::now() +
-                        std::chrono::duration_cast<WallClock::duration>(
-                            std::chrono::duration<double>(timeout_wall_seconds));
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (match_count_locked(src, tag) >= n) {
-        return;
-      }
-    }
-    if (detector != nullptr) {
-      detector->enter_wait(self_rank, src, tag);
-    }
-    bool timed_out = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (!aborted_ && match_count_locked(src, tag) < n) {
-        timed_out =
-            cv_.wait_until(lk, deadline) == std::cv_status::timeout;
-      }
-    }
-    if (detector != nullptr) {
-      detector->leave_wait(self_rank);
-    }
-    if (timed_out) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!aborted_ && match_count_locked(src, tag) < n) {
-        throw_recv_timeout(src, tag, detector);
-      }
-    }
-  }
+  park_until(src, tag, n, timeout_wall_seconds, detector, self_rank,
+             [&] { return match_count_locked(src, tag, n) >= n; });
 }
 
 std::uint64_t Mailbox::post_op(int src, int tag, std::byte* dest,
@@ -329,60 +249,9 @@ std::string Mailbox::describe_pending_ops(int owner) const {
   return out;
 }
 
-Message Mailbox::recv(int src, int tag, double timeout_wall_seconds,
-                      DeadlockDetector* detector, int self_rank) {
-  if (sched_ != nullptr && FiberScheduler::current() == sched_) {
-    return recv_fiber(src, tag, timeout_wall_seconds, detector, self_rank);
-  }
-  // Standalone condition-variable path (no machine / no fiber scheduler).
-  // Fallback deadlock guard on the host clock only: the deadline never
-  // feeds simulated clocks, payloads, or stats — a correct program never
-  // hits it, and with the wait-for-graph detector on, neither do most
-  // incorrect ones (provable deadlocks abort instantly via the detector;
-  // the timeout catches only open-ended stalls the graph cannot prove).
-  // kali-lint: allow(wall-clock) — wall-clock timeout is the guard's point.
-  using WallClock = std::chrono::steady_clock;
-  const auto deadline = WallClock::now() +
-                        std::chrono::duration_cast<WallClock::duration>(
-                            std::chrono::duration<double>(timeout_wall_seconds));
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (auto m = try_pop_locked(src, tag)) {
-        return std::move(*m);
-      }
-    }
-    if (detector != nullptr) {
-      detector->enter_wait(self_rank, src, tag);
-    }
-    bool timed_out = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      // Re-check under the lock: a push between the pop attempt above and
-      // here would otherwise be slept through until the next notify.
-      if (!aborted_ && !has_match_locked(src, tag)) {
-        timed_out =
-            cv_.wait_until(lk, deadline) == std::cv_status::timeout;
-      }
-    }
-    if (detector != nullptr) {
-      detector->leave_wait(self_rank);
-    }
-    if (timed_out) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!aborted_ && !has_match_locked(src, tag)) {
-        throw_recv_timeout(src, tag, detector);
-      }
-    }
-  }
-}
-
 bool Mailbox::probe(int src, int tag) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return has_match_locked(src, tag);
+  return match_count_locked(src, tag, 1) != 0;
 }
 
 std::vector<PendingMessage> Mailbox::snapshot() const {
@@ -408,7 +277,6 @@ void Mailbox::abort() {
   if (wake_owner) {
     sched_->wake(owner_rank_);
   }
-  cv_.notify_all();
 }
 
 std::size_t Mailbox::pending() const {

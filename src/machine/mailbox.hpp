@@ -3,19 +3,16 @@
 // Semantics mirror MPI-1 blocking point-to-point: messages between a fixed
 // (src, dst, tag) triple are non-overtaking (FIFO); recv may use kAnySource.
 //
-// Blocking has two implementations behind one recv():
-//  * Fiber path (the machine's execution model): when a FiberScheduler is
-//    attached and the caller is one of its fibers, an unmatched recv parks
-//    the calling fiber — a yield point, not a blocked host thread — and a
-//    matching push (or abort, or the wall-clock deadline sweep) makes it
-//    runnable again.
-//  * Condition-variable path: kept for standalone Mailbox use (its own unit
-//    tests drive it from raw host threads, with no machine around).
+// Blocking happens in one place.  recv and await_matches share one park
+// loop: when the wait is not yet satisfied, the calling fiber of the
+// attached FiberScheduler (the machine's execution model) parks — a yield
+// point, not a blocked host thread — and a matching push (or an abort, or
+// the scheduler's wall-clock deadline sweep) makes it runnable again.  A
+// wait that is already satisfied returns without parking, so standalone
+// queue use needs no machine; a wait that would park anywhere but on an
+// attached scheduler's fiber throws instead of blocking a host thread.
 #pragma once
 
-// Standalone-use fallback only; machine runs block via the fiber scheduler.
-// kali-lint: allow(raw-thread)
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -62,11 +59,12 @@ class Mailbox {
   void push(Message m);
 
   /// Blocking matched receive.  When `detector` is set, the wait is
-  /// published as a wait-for-graph edge for `self_rank` before blocking, so
+  /// published as a wait-for-graph edge for `self_rank` before parking, so
   /// a certain deadlock aborts instantly with a diagnostic instead of
   /// sitting out the wall-clock timeout (which remains the fallback).
-  /// Throws kali::Error on detection, on timeout, or if the machine aborted
-  /// because a peer processor failed.
+  /// Throws kali::Error on detection, on timeout, if the machine aborted
+  /// because a peer processor failed, or if no match is queued and the
+  /// caller is not a fiber of the attached scheduler.
   Message recv(int src, int tag, double timeout_wall_seconds,
                DeadlockDetector* detector = nullptr, int self_rank = -1);
 
@@ -84,9 +82,8 @@ class Mailbox {
   /// Park the calling fiber until at least `n` messages matching (src, tag)
   /// are queued — the wait point of nonblocking completion.  Same
   /// park/wake/detector/timeout protocol as a blocking recv, but with a
-  /// queue-depth predicate instead of a pop: nothing is consumed.  Falls
-  /// back to the condition-variable path when no fiber scheduler is
-  /// attached (standalone use).  Throws like recv().
+  /// queue-depth predicate instead of a pop: nothing is consumed.  Throws
+  /// like recv().
   void await_matches(int src, int tag, std::size_t n,
                      double timeout_wall_seconds,
                      DeadlockDetector* detector = nullptr, int self_rank = -1);
@@ -127,9 +124,9 @@ class Mailbox {
   void abort();
 
   /// Bind this mailbox to its owning rank's fiber scheduler for the
-  /// duration of a Machine::run (nullptr to detach).  While attached, a
-  /// recv called on one of `sched`'s fibers parks the fiber instead of
-  /// blocking the host thread, and push() wakes the parked owner.
+  /// duration of a Machine::run (nullptr to detach).  While attached, an
+  /// unsatisfied wait called on one of `sched`'s fibers parks the fiber,
+  /// and push() wakes the parked owner.
   void attach_scheduler(FiberScheduler* sched, int owner_rank);
 
   /// Number of queued (undelivered) messages.
@@ -154,18 +151,20 @@ class Mailbox {
   void reset_peak();
 
  private:
-  Message recv_fiber(int src, int tag, double timeout_wall_seconds,
-                     DeadlockDetector* detector, int self_rank);
-  void await_matches_fiber(int src, int tag, std::size_t n,
-                           double timeout_wall_seconds,
-                           DeadlockDetector* detector, int self_rank);
+  /// The one blocking loop behind recv and await_matches: returns once
+  /// `ready()` (run under mu_) reports the wait satisfied, parking the
+  /// calling fiber while fewer than `n` matches of (src, tag) are queued.
+  template <class Ready>
+  void park_until(int src, int tag, std::size_t n, double timeout_wall_seconds,
+                  DeadlockDetector* detector, int self_rank, Ready ready);
   std::optional<Message> try_pop_locked(int src, int tag);
-  [[nodiscard]] bool has_match_locked(int src, int tag) const;
-  [[nodiscard]] std::size_t match_count_locked(int src, int tag) const;
+  /// Queued matches of (src, tag), counted up to `cap` and no further.
+  [[nodiscard]] std::size_t match_count_locked(int src, int tag,
+                                               std::size_t cap) const;
+  /// Record the happens-before match edge of a popped message.
+  void record_match(const Message& m);
 
   mutable std::mutex mu_;
-  // kali-lint: allow(raw-thread) — standalone (schedulerless) recv path only
-  std::condition_variable cv_;
   std::deque<Message> queue_;
   std::size_t peak_pending_ = 0;
   bool aborted_ = false;

@@ -14,7 +14,8 @@
 // fully reproducible step sequences, a property the differential tests
 // exploit.
 //
-// Yield points: Mailbox::recv parks the calling fiber when no match is
+// Yield points: the mailbox's one wait loop (behind Mailbox::recv and
+// Mailbox::await_matches) parks the calling fiber while its match is not
 // queued (prepare_park / commit_park below), and quiesce() parks all
 // fibers for machine-global maintenance (edge-ledger compaction).  A
 // parked fiber with no possible waker is first-class scheduler state:
@@ -141,8 +142,8 @@ class FiberScheduler {
   [[nodiscard]] HbLog* hb_log() const;
 
   /// Scheduler whose fiber is running on the calling thread, or nullptr
-  /// when the caller is not a fiber (Mailbox uses this to fall back to
-  /// its condition-variable path for standalone use).
+  /// when the caller is not a fiber (Mailbox parks only a fiber of its
+  /// attached scheduler, and rejects an unsatisfied wait from anyone else).
   [[nodiscard]] static FiberScheduler* current();
   /// Rank of the fiber running on the calling thread, or -1.
   [[nodiscard]] static int current_rank();

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -149,24 +150,36 @@ double fake_clock() {
 }
 
 TEST(SchedulerHooks, FakeClockDrivesRecvTimeout) {
-  g_fake_ticks.store(0);
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 0.5;     // fake seconds, not real ones
-  cfg.deadlock_detection = false;  // force the timeout path
-  cfg.sim_workers = 2;
-  cfg.sim_clock = fake_clock;
-  Machine m(2, cfg);
-  try {
-    m.run([](Context& ctx) {
-      if (ctx.rank() == 0) {
-        (void)ctx.recv<int>(1, 5);  // never sent
-      }
-    });
-    FAIL() << "recv did not time out";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("recv timed out"),
-              std::string::npos)
-        << e.what();
+  // Both entry points of the mailbox's park loop: a blocking recv, and the
+  // wait that completes a posted irecv.
+  const std::vector<std::function<void(Context&)>> waits = {
+      [](Context& ctx) { (void)ctx.recv<int>(1, 5); },
+      [](Context& ctx) {
+        int x = 0;
+        CommHandle h = ctx.irecv<int>(1, 5, x);
+        h.wait();
+      },
+  };
+  for (std::size_t i = 0; i < waits.size(); ++i) {
+    g_fake_ticks.store(0);
+    MachineConfig cfg;
+    cfg.recv_timeout_wall = 0.5;     // fake seconds, not real ones
+    cfg.deadlock_detection = false;  // force the timeout path
+    cfg.sim_workers = 2;
+    cfg.sim_clock = fake_clock;
+    Machine m(2, cfg);
+    try {
+      m.run([&](Context& ctx) {
+        if (ctx.rank() == 0) {
+          waits[i](ctx);  // never sent
+        }
+      });
+      ADD_FAILURE() << "wait " << i << " did not time out";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("recv timed out"),
+                std::string::npos)
+          << "wait " << i << ": " << e.what();
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Fixture: raw host-threading primitives in machine-layer code that is
 // not the fiber scheduler — each flagged, one waived.  The <condition_variable>
-// include itself also trips the rule (the mailbox carries a waiver for its
-// standalone recv path; nothing else may).
+// include itself also trips the rule (no file in src/ needs it: the mailbox
+// blocks only by parking a fiber of the scheduler).
 #include <condition_variable>  // LINT-EXPECT: raw-thread
 #include <thread>  // LINT-EXPECT: raw-thread
 

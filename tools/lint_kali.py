@@ -48,6 +48,10 @@ compiler never checks.  This linter enforces the written rules:
                  happens-before analyzer (tools/check_hb.py) checks at
                  run time.  Name-based, so it also catches mutations of
                  foreign processors via Machine::proc(r).
+  stale-waiver   A `kali-lint: allow(<rule>)` pragma must suppress at
+                 least one finding: a waiver left behind by deleted or
+                 rewritten code is itself flagged, so waivers cannot
+                 outlive the code they excuse.
 
 A finding can be waived in place with a reasoned pragma on the same line
 or the line above:
@@ -76,6 +80,7 @@ RULES = (
     "raw-exchange",
     "collective-symmetry",
     "shared-state",
+    "stale-waiver",
 )
 
 # Layer DAG: which layers each layer's headers may include.  `support` is
@@ -236,14 +241,15 @@ def lint_file(root, relpath, findings):
     raw, code = load_lines(path)
     registry = registry_symbols(root)
     is_registry = relpath.replace(os.sep, "/") == "src/machine/message.hpp"
+    used_waivers = set()  # (line index, rule) of pragmas that suppressed
 
     def allowed(idx, rule):
         """A waiver pragma covers its own line, or a flagged line below it
         separated only by comment/blank lines."""
         j = idx
         while j >= 0:
-            m = ALLOW_RE.search(raw[j])
-            if m and m.group(1) == rule:
+            if any(m.group(1) == rule for m in ALLOW_RE.finditer(raw[j])):
+                used_waivers.add((j, rule))
                 return True
             j -= 1
             if j < 0 or code[j].strip():  # previous line has real code: stop
@@ -383,6 +389,15 @@ def lint_file(root, relpath, findings):
             if in_lambda_until_depth is not None and \
                     depth <= in_lambda_until_depth and "}" in line:
                 in_lambda_until_depth = None
+
+    # --- stale-waiver (after every other rule has had its chance) ----------
+    for i, line in enumerate(raw):
+        for m in ALLOW_RE.finditer(line):
+            if (i, m.group(1)) not in used_waivers:
+                findings.append(Finding(
+                    relpath, i + 1, "stale-waiver",
+                    f"waiver for '{m.group(1)}' suppresses no finding: "
+                    "delete it (or move it to the line it excuses)"))
 
 
 def collect_sources(root):
