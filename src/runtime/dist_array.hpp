@@ -14,13 +14,22 @@
 //
 // Indexing is Fortran-listing-flavoured: `A(i, j)` takes *global* indices
 // and requires ownership; `A.at_halo(...)` additionally admits ghost cells.
-// Cost model, per access of a rank-R array: a block or star dim resolves
-// through the cached slab origin — (g - lower) * stride after a range test
-// on the slab (plus halo) — so block/star layouts pay O(R) adds and
-// compares, no division; cyclic and block-cyclic dims go through DimMap's
-// owner/local division.  for_each_cell, the walker behind every box pack
-// and unpack, checks a box's first and last cells and then walks its rows
-// by stride.
+//
+// Cost model.  Each at()/at_halo() call of a rank-R array checks
+// membership and resolves every block or star dim through the cached slab
+// origin — (g - lower) * stride after a range test on the slab (plus halo)
+// — so block/star layouts pay O(R) adds and compares per access, no
+// division; cyclic and block-cyclic dims go through DimMap's owner/local
+// division.  A loop pays the checks once instead, as the KF1 compiler's
+// strip-mined doall does: window(lo, hi, ghosts) tests a box's two corners
+// against the slab and returns a BoxWindow whose accesses cost base +
+// sum(g * stride) and nothing else (owned_box in doall.hpp derives the box
+// from the loop's own ranges).  The element bodies of the mg2, mg3 and ADI
+// solvers all run through windows.  Per-element at() remains for cyclic
+// and block-cyclic layouts (they have no box), the examples, and the
+// transcriptions of the paper's listings (jacobi_kf1, adi_var, spline).
+// for_each_cell, the walker behind every box pack and unpack, makes
+// window()'s corner test and then walks the box's rows by stride.
 #pragma once
 
 #include <algorithm>
@@ -57,6 +66,98 @@ enum class HaloWire { kCoalesced, kPerDirection };
 /// -Wsign-conversion.
 template <int R>
 using GIndex = std::array<int, static_cast<std::size_t>(R)>;
+
+/// Inclusive box of global indices, [lo, hi] per dim; empty when any hi <
+/// lo.  What DistArray::window validates and owned_box (doall.hpp) builds.
+template <int R>
+struct Box {
+  GIndex<R> lo{};
+  GIndex<R> hi{};
+
+  [[nodiscard]] bool empty() const {
+    for (std::size_t d = 0; d < lo.size(); ++d) {
+      if (hi[d] < lo[d]) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+template <class T, int R>
+class DistArray;
+
+/// A checked box window over a DistArray's local slab, taken with
+/// DistArray::window: a data pointer, the offset of global index 0 and one
+/// stride per dim, so W(i, j, k) costs base + i*s0 + j*s1 + k*s2 — the
+/// per-loop address resolution of the paper's strip-mined doall.  The box
+/// is validated once, when the window is taken; under KALI_CHECK_INVARIANTS
+/// every access also checks that its index lies in that box and that its
+/// offset equals the array's flat_owned/flat_halo.  Non-owning and
+/// allocation-free; it must not outlive the array it was taken from.  T is
+/// const for a window on a const array.
+template <class T, int R>
+class BoxWindow {
+  static constexpr std::size_t UR = static_cast<std::size_t>(R);
+
+ public:
+  BoxWindow() = default;
+
+  T& operator()(int i) const
+    requires(R == 1)
+  {
+    return cell({i});
+  }
+  T& operator()(int i, int j) const
+    requires(R == 2)
+  {
+    return cell({i, j});
+  }
+  T& operator()(int i, int j, int k) const
+    requires(R == 3)
+  {
+    return cell({i, j, k});
+  }
+
+  /// The validated box (inclusive).
+  [[nodiscard]] const Box<R>& box() const { return box_; }
+
+ private:
+  using Array = DistArray<std::remove_const_t<T>, R>;
+  friend Array;
+
+  [[nodiscard]] std::ptrdiff_t offset(const GIndex<R>& g) const {
+    std::ptrdiff_t f = base_;
+    for (std::size_t d = 0; d < UR; ++d) {
+      f += static_cast<std::ptrdiff_t>(g[d]) * stride_[d];
+    }
+    return f;
+  }
+
+  [[nodiscard]] bool covers(const GIndex<R>& g) const {
+    for (std::size_t d = 0; d < UR; ++d) {
+      if (g[d] < box_.lo[d] || g[d] > box_.hi[d]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  T& cell(const GIndex<R>& g) const {
+    const std::ptrdiff_t f = offset(g);
+    KALI_INVARIANT(covers(g), "window: index outside the validated box");
+    KALI_INVARIANT(f == arr_->flat(g, ghosts_),
+                   "window: offset disagrees with flat addressing");
+    return data_[f];
+  }
+
+  T* data_ = nullptr;
+  std::ptrdiff_t base_ = 0;  ///< offset of global index (0, ..., 0)
+  std::array<std::ptrdiff_t, UR> stride_{};
+  Box<R> box_{};
+  bool ghosts_ = false;
+  const Array* arr_ = nullptr;  ///< for the invariant checks only
+};
 
 /// Strided 1-D window over local memory; what sequential kernels consume.
 template <class T>
@@ -277,6 +378,27 @@ class DistArray {
     return {store_->data() + offset_, strides_[0], lcount_[0]};
   }
 
+  /// Checked box window over the cells [lo, hi] (inclusive, global
+  /// indices): ghosts admits halo/frame cells (at_halo()/frame()
+  /// semantics), otherwise only owned cells (at() semantics).  A non-empty
+  /// box needs membership, block or star dims only (cyclic and
+  /// block-cyclic dims keep at()), and both corners in the slab — the same
+  /// corner test for_each_cell makes; each failure throws with its own
+  /// message.  An empty box yields a window nothing may read.
+  [[nodiscard]] BoxWindow<T, R> window(Extents lo, Extents hi, bool ghosts) {
+    return open_window<T>(*this, lo, hi, ghosts);
+  }
+  [[nodiscard]] BoxWindow<const T, R> window(Extents lo, Extents hi,
+                                             bool ghosts) const {
+    return open_window<const T>(*this, lo, hi, ghosts);
+  }
+  [[nodiscard]] BoxWindow<T, R> window(const Box<R>& b, bool ghosts) {
+    return window(b.lo, b.hi, ghosts);
+  }
+  [[nodiscard]] BoxWindow<const T, R> window(const Box<R>& b, bool ghosts) const {
+    return window(b.lo, b.hi, ghosts);
+  }
+
   // ---- fills ----------------------------------------------------------------
 
   template <class Fn>
@@ -330,12 +452,11 @@ class DistArray {
   /// in row-major order (the wire order of every box pack and unpack),
   /// calling fn(T&) — fn(const T&) on a const array.  `ghosts` admits
   /// halo/frame cells (frame() semantics); otherwise only owned cells
-  /// (at() semantics).  No-op when any n[d] <= 0.  On a block/star layout
-  /// whose box has both corners in the slab, every cell is in it (a box is
-  /// convex), so the rows are walked by offset stride with no per-cell
-  /// check.  Cyclic layouts and boxes that leave the slab go cell by cell
-  /// through at()/frame()'s addressing, so a bad box throws from its first
-  /// bad cell, with that accessor's message.
+  /// (at() semantics).  No-op when any n[d] <= 0.  A box that window()
+  /// accepts is walked row by row through that window's base and strides,
+  /// with no per-cell check.  Cyclic layouts and boxes that leave the slab
+  /// go cell by cell through at()/frame()'s addressing, so a bad box throws
+  /// from its first bad cell, with that accessor's message.
   template <class Fn>
   void for_each_cell(Extents first, Extents step, Extents n, bool ghosts, Fn fn) {
     walk_cells(*this, first, step, n, ghosts, fn);
@@ -652,6 +773,8 @@ class DistArray {
  private:
   template <class U, int S>
   friend class DistArray;
+  template <class U, int S>
+  friend class BoxWindow;
 
   static std::size_t idx(int d) {
     KALI_CHECK(d >= 0 && d < R, "dimension out of range");
@@ -713,6 +836,10 @@ class DistArray {
     return f;
   }
 
+  [[nodiscard]] std::ptrdiff_t flat(const Extents& g, bool ghosts) const {
+    return ghosts ? flat_halo(g) : flat_owned(g);
+  }
+
   /// The DimMap definition of an owned cell, which the slab-origin test of
   /// the affine dims must reproduce (checked under KALI_CHECK_INVARIANTS).
   [[nodiscard]] bool slab_agrees(std::size_t ud, int g, int rel) const {
@@ -722,9 +849,6 @@ class DistArray {
   /// Whether flat_halo (`ghosts`) or flat_owned accepts g, for a member
   /// whose dims are all affine — the same range tests, without the throw.
   [[nodiscard]] bool in_slab(const Extents& g, bool ghosts) const {
-    if (!member_) {
-      return false;
-    }
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
       const int h = ghosts ? halo_[ud] : 0;
@@ -734,6 +858,48 @@ class DistArray {
       }
     }
     return true;
+  }
+
+  /// The window's box test without the throw: a member with block/star
+  /// dims only and both corners of [lo, hi] in the slab.  A box is convex,
+  /// so every cell between the corners is in the slab too.
+  [[nodiscard]] bool fits(const Extents& lo, const Extents& hi, bool ghosts) const {
+    if (!member_) {
+      return false;
+    }
+    for (std::size_t d = 0; d < UR; ++d) {
+      if (!affine(d)) {
+        return false;
+      }
+    }
+    return in_slab(lo, ghosts) && in_slab(hi, ghosts);
+  }
+
+  /// window() for both constnesses (Self is DistArray or const DistArray).
+  template <class Cell, class Self>
+  static BoxWindow<Cell, R> open_window(Self& a, const Extents& lo,
+                                        const Extents& hi, bool ghosts) {
+    BoxWindow<Cell, R> w;
+    w.box_ = {lo, hi};
+    w.ghosts_ = ghosts;
+    w.arr_ = &a;
+    if (w.box_.empty()) {
+      return w;
+    }
+    if (!a.fits(lo, hi, ghosts)) {
+      a.require_member();
+      for (std::size_t d = 0; d < UR; ++d) {
+        KALI_CHECK(a.affine(d), "window: cyclic or block-cyclic dim; index it with at()");
+      }
+      KALI_FAIL(ghosts ? "window: box outside slab+halo" : "window: box not owned");
+    }
+    w.data_ = a.store_->data();
+    w.base_ = a.offset_;
+    for (std::size_t d = 0; d < UR; ++d) {
+      w.base_ -= static_cast<std::ptrdiff_t>(a.lo_[d]) * a.strides_[d];
+    }
+    w.stride_ = a.strides_;
+    return w;
   }
 
   /// Row-major odometer over the leading `dims` dims of t in [0, n);
@@ -757,37 +923,35 @@ class DistArray {
                          const Extents& n, bool ghosts, Fn& fn) {
     using Cell = std::conditional_t<std::is_const_v<Self>, const T, T>;
     Extents last = first;
-    bool rows = true;
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
       if (n[ud] <= 0) {
         return;
       }
       last[ud] += (n[ud] - 1) * step[ud];
-      rows = rows && a.affine(ud);
     }
-    rows = rows && a.in_slab(first, ghosts) && a.in_slab(last, ghosts);
     auto flat = [&](const Extents& t) {
       Extents g{};
       for (int d = 0; d < R; ++d) {
         const auto ud = static_cast<std::size_t>(d);
         g[ud] = first[ud] + t[ud] * step[ud];
       }
-      return ghosts ? a.flat_halo(g) : a.flat_owned(g);
+      return a.flat(g, ghosts);
     };
     Extents t{};
-    if (!rows) {
+    if (!a.fits(first, last, ghosts)) {
       do {
         const auto f = static_cast<std::size_t>(flat(t));
         fn(static_cast<Cell&>((*a.store_)[f]));
       } while (advance(t, n, R));
       return;
     }
-    Cell* data = a.store_->data();
-    const std::ptrdiff_t f0 = flat(t);
+    const auto w = open_window<Cell>(a, first, last, ghosts);
+    Cell* data = w.data_;
+    const std::ptrdiff_t f0 = w.offset(first);
     std::array<std::ptrdiff_t, UR> jump{};
     for (std::size_t d = 0; d < UR; ++d) {
-      jump[d] = static_cast<std::ptrdiff_t>(step[d]) * a.strides_[d];
+      jump[d] = static_cast<std::ptrdiff_t>(step[d]) * w.stride_[d];
     }
     constexpr std::size_t in = UR - 1;  // the row dim
     do {

@@ -21,9 +21,14 @@
 // body (the KF1 compiler knows the statement cost; here the caller states
 // it).  Communication for right-hand-side reads is made explicit by the
 // caller via DistArray::copy_in()/exchange_halo() — the code the compiler
-// would generate for copy-in/copy-out semantics.
+// would generate for copy-in/copy-out semantics.  So is the strip-mined
+// address resolution: a body reads and writes through a
+// DistArray::window(owned_box(A, ranges, reach), ghosts) taken before the
+// loop, which validates the whole box once instead of every access.
 #pragma once
 
+#include <array>
+#include <limits>
 #include <vector>
 
 #include "runtime/dist_array.hpp"
@@ -91,6 +96,42 @@ inline std::vector<int> owned_in_range(const DimMap& m, int c, Range r) {
 }
 
 }  // namespace detail
+
+/// This rank's share of the range product ranges[0] x ... x ranges[R-1] on
+/// A — the box of indices the matching doall visits — widened by reach[d]
+/// cells on both sides of dim d (the loop body's stencil reach), for
+/// DistArray::window.  Computed analytically per dim from the owned
+/// interval and the range's stride; empty when this rank is no member or
+/// owns none of the product.  Block and star dims only (own_lower()
+/// rejects the others).
+template <class T, int R>
+Box<R> owned_box(const DistArray<T, R>& A,
+                 const std::array<Range, static_cast<std::size_t>(R)>& ranges,
+                 GIndex<R> reach = {}) {
+  Box<R> b;
+  for (std::size_t d = 0; d < b.lo.size(); ++d) {
+    ranges[d].require_valid();
+    b.hi[d] = -1;  // empty until dim d is placed
+  }
+  if (!A.participating()) {
+    return b;
+  }
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    const Range r = ranges[ud];
+    int first = r.lo;
+    if (A.own_lower(d) > first) {
+      first += (A.own_lower(d) - first + r.step - 1) / r.step * r.step;
+    }
+    const int last = std::min(r.hi, A.own_upper(d));
+    if (last < first) {
+      return b;
+    }
+    b.lo[ud] = first - reach[ud];
+    b.hi[ud] = first + (last - first) / r.step * r.step + reach[ud];
+  }
+  return b;
+}
 
 /// doall i = r on owner(A(i)).
 template <class T, class Body>
@@ -165,7 +206,11 @@ void doall3(const DistArray3<T>& A, Range ri, Range rj, Range rk, Body body,
 //
 // `margin` is the body's stencil reach: an interior index keeps at least
 // `margin` owned cells between itself and every slab face that carries a
-// halo, so the body cannot touch the ghost cells still in flight.
+// halo, so the body cannot touch the ghost cells still in flight.  Each
+// call computes every dim's interior interval once (ring_interval), so
+// classifying an index costs an interval test per dim; the visit order,
+// and the iteration count behind each part's compute charge, are the
+// blocking loop's restricted to that part.
 
 /// Which part of the ring partition a doall*_ring call visits.
 enum class Ring {
@@ -175,15 +220,24 @@ enum class Ring {
 
 namespace detail {
 
-/// True when global index `i` sits at least `margin` cells inside this
-/// rank's owned slab along dim `d`.  Dims with no halo (or not distributed)
-/// impose no restriction — they have no in-flight ghosts to avoid.
+/// The interior interval of dim `d`: the global indices that sit at least
+/// `margin` cells inside this rank's owned slab, [own_lower + margin,
+/// own_upper - margin] (empty when the slab is thinner than 2 * margin).
+/// Dims with no halo (or not distributed) impose no restriction — they
+/// have no in-flight ghosts to avoid.
+struct RingInterval {
+  int lo = std::numeric_limits<int>::min();
+  int hi = std::numeric_limits<int>::max();
+
+  [[nodiscard]] bool contains(int i) const { return i >= lo && i <= hi; }
+};
+
 template <class T, int R>
-bool ring_interior(const DistArray<T, R>& A, int d, int i, int margin) {
+RingInterval ring_interval(const DistArray<T, R>& A, int d, int margin) {
   if (A.halo(d) == 0 || A.map(d).kind() == DistKind::kStar) {
-    return true;
+    return {};
   }
-  return i - A.own_lower(d) >= margin && A.own_upper(d) - i >= margin;
+  return {A.own_lower(d) + margin, A.own_upper(d) - margin};
 }
 
 }  // namespace detail
@@ -197,11 +251,13 @@ void doall2_ring(const DistArray2<T>& A, Range ri, Range rj, int margin,
   }
   const auto is = detail::owned_in_range(A.map(0), A.my_coord(0), ri);
   const auto js = detail::owned_in_range(A.map(1), A.my_coord(1), rj);
+  const auto in0 = detail::ring_interval(A, 0, margin);
+  const auto in1 = detail::ring_interval(A, 1, margin);
   double n = 0.0;
   for (int i : is) {
-    const bool ii = detail::ring_interior(A, 0, i, margin);
+    const bool ii = in0.contains(i);
     for (int j : js) {
-      const bool interior = ii && detail::ring_interior(A, 1, j, margin);
+      const bool interior = ii && in1.contains(j);
       if ((part == Ring::kInterior) == interior) {
         body(i, j);
         n += 1.0;
@@ -222,13 +278,16 @@ void doall3_ring(const DistArray3<T>& A, Range ri, Range rj, Range rk,
   const auto is = detail::owned_in_range(A.map(0), A.my_coord(0), ri);
   const auto js = detail::owned_in_range(A.map(1), A.my_coord(1), rj);
   const auto ks = detail::owned_in_range(A.map(2), A.my_coord(2), rk);
+  const auto in0 = detail::ring_interval(A, 0, margin);
+  const auto in1 = detail::ring_interval(A, 1, margin);
+  const auto in2 = detail::ring_interval(A, 2, margin);
   double n = 0.0;
   for (int i : is) {
-    const bool ii = detail::ring_interior(A, 0, i, margin);
+    const bool ii = in0.contains(i);
     for (int j : js) {
-      const bool ij = ii && detail::ring_interior(A, 1, j, margin);
+      const bool ij = ii && in1.contains(j);
       for (int k : ks) {
-        const bool interior = ij && detail::ring_interior(A, 2, k, margin);
+        const bool interior = ij && in2.contains(k);
         if ((part == Ring::kInterior) == interior) {
           body(i, j, k);
           n += 1.0;
@@ -253,9 +312,10 @@ void doall_slice_ring(const DistArray<T, R>& A, int fixed_dim, Range r,
   }
   const auto is =
       detail::owned_in_range(A.map(fixed_dim), A.my_coord(fixed_dim), r);
+  const auto inside = detail::ring_interval(A, fixed_dim, margin);
   double n = 0.0;
   for (int i : is) {
-    const bool interior = detail::ring_interior(A, fixed_dim, i, margin);
+    const bool interior = inside.contains(i);
     if ((part == Ring::kInterior) == interior) {
       body(i);
       n += 1.0;

@@ -24,23 +24,24 @@ void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
                      Overlap overlap) {
   const int nx = f.extent(0), ny = f.extent(1);
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
+  const Range xs{0, nx - 1}, ys{0, ny - 1};
   auto uin = u.clone();
+  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
+  const auto fw = f.window(owned_box(f, {xs, ys}), false);
+  const auto rw = r.window(owned_box(r, {xs, ys}), false);
   auto body = [&](int i, int j) {
-    const double lu = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
-                      cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
-                      dg * uin.at_halo({i, j});
-    r(i, j) = tau * (lu - f(i, j));
+    const double lu = cx * (uw(i - 1, j) + uw(i + 1, j)) +
+                      cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
+    rw(i, j) = tau * (lu - fw(i, j));
   };
   if (overlap == Overlap::kOn) {
     auto ex = uin.exchange_halo_begin();
-    doall2_ring(uin, Range{0, nx - 1}, Range{0, ny - 1}, 1, Ring::kInterior,
-                body, 10.0);
+    doall2_ring(uin, xs, ys, 1, Ring::kInterior, body, 10.0);
     ex.finish();
-    doall2_ring(uin, Range{0, nx - 1}, Range{0, ny - 1}, 1, Ring::kBoundary,
-                body, 10.0);
+    doall2_ring(uin, xs, ys, 1, Ring::kBoundary, body, 10.0);
   } else {
     uin.exchange_halo();
-    doall2(r, Range{0, nx - 1}, Range{0, ny - 1}, body, 10.0);
+    doall2(r, xs, ys, body, 10.0);
   }
 }
 
@@ -62,14 +63,16 @@ double adi_residual_norm(const Op2& op, const DistArray2<double>& u,
   if (!u.participating()) {
     return 0.0;
   }
-  auto uin = u.copy_in();
+  const auto uin = u.copy_in();
   const int nx = f.extent(0), ny = f.extent(1);
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
-  const double s = doall2_sum(u, Range{0, nx - 1}, Range{0, ny - 1}, [&](int i, int j) {
-    const double lu = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
-                      cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
-                      dg * uin.at_halo({i, j});
-    const double res = f(i, j) - lu;
+  const Range xs{0, nx - 1}, ys{0, ny - 1};
+  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
+  const auto fw = f.window(owned_box(f, {xs, ys}), false);
+  const double s = doall2_sum(u, xs, ys, [&](int i, int j) {
+    const double lu = cx * (uw(i - 1, j) + uw(i + 1, j)) +
+                      cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
+    const double res = fw(i, j) - lu;
     return res * res;
   });
   return std::sqrt(s);
@@ -84,6 +87,7 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
   const Op2& op = opts.op;
   const double tau = opts.tau;
   const int nx = u.extent(0), ny = u.extent(1);
+  const Range xs{0, nx - 1}, ys{0, ny - 1};
   KALI_CHECK(u.halo(0) >= 1 && u.halo(1) >= 1, "adi: u needs halo 1");
 
   // dynamic real r(...), v(...), w(...) dist (block, block)
@@ -118,27 +122,31 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
     redistribute(ctx, r, rrows, IssueOrder::kRoundSchedule, opts.overlap);
     std::vector<double> fline(static_cast<std::size_t>(ny));
     std::vector<double> xline(static_cast<std::size_t>(ny));
-    for (int i : rrows.owned(0)) {
+    const Box<2> rows = owned_box(rrows, {xs, ys});
+    const auto rw = rrows.window(rows, false);
+    for (int i = rows.lo[0]; i <= rows.hi[0]; ++i) {
       for (int j = 0; j < ny; ++j) {
-        fline[static_cast<std::size_t>(j)] = rrows(i, j);
+        fline[static_cast<std::size_t>(j)] = rw(i, j);
       }
       thomas_solve_const(oy, dy, oy, fline, xline);
       ctx.compute(kThomasFlopsPerRow * ny);
       for (int j = 0; j < ny; ++j) {
-        rrows(i, j) = xline[static_cast<std::size_t>(j)];
+        rw(i, j) = xline[static_cast<std::size_t>(j)];
       }
     }
     redistribute(ctx, rrows, vcols, IssueOrder::kRoundSchedule, opts.overlap);
     fline.resize(static_cast<std::size_t>(nx));
     xline.resize(static_cast<std::size_t>(nx));
-    for (int j : vcols.owned(1)) {
+    const Box<2> cols = owned_box(vcols, {xs, ys});
+    const auto vw = vcols.window(cols, false);
+    for (int j = cols.lo[1]; j <= cols.hi[1]; ++j) {
       for (int i = 0; i < nx; ++i) {
-        fline[static_cast<std::size_t>(i)] = vcols(i, j);
+        fline[static_cast<std::size_t>(i)] = vw(i, j);
       }
       thomas_solve_const(ox, dx, ox, fline, xline);
       ctx.compute(kThomasFlopsPerRow * nx);
       for (int i = 0; i < nx; ++i) {
-        vcols(i, j) = xline[static_cast<std::size_t>(i)];
+        vw(i, j) = xline[static_cast<std::size_t>(i)];
       }
     }
     redistribute(ctx, vcols, w, IssueOrder::kRoundSchedule, opts.overlap);
@@ -176,9 +184,9 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
     }
   }
 
-  doall2(
-      u, Range{0, nx - 1}, Range{0, ny - 1},
-      [&](int i, int j) { u(i, j) += w(i, j); }, 1.0);
+  const auto uw = u.window(owned_box(u, {xs, ys}), false);
+  const auto ww = w.window(owned_box(w, {xs, ys}), false);
+  doall2(u, xs, ys, [&](int i, int j) { uw(i, j) += ww(i, j); }, 1.0);
 }
 
 double adi_solve(const AdiOptions& opts, DistArray2<double>& u,

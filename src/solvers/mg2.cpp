@@ -29,18 +29,22 @@ void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
 
   const int first = parity == 0 ? 2 : 1;
+  const Range xs{1, nx - 1};
   const Range lines{first, ny - 1, 2};
+  const auto fw = f.window(owned_box(f, {xs, lines}), false);
+  const auto uw = u.window(owned_box(u, {xs, lines}, {0, 1}), true);
+  const auto uo = u.window(owned_box(u, {xs, lines}), false);
   std::vector<double> rhs(static_cast<std::size_t>(nx - 1));
   std::vector<double> sol(rhs.size());
   auto solve_line = [&](int j) {
     // Line system along x:  cx u(i-1,j) + dg u(i,j) + cx u(i+1,j) = rhs.
     for (int i = 1; i <= nx - 1; ++i) {
       rhs[static_cast<std::size_t>(i - 1)] =
-          f(i, j) - cy * (u.at_halo({i, j - 1}) + u.at_halo({i, j + 1}));
+          fw(i, j) - cy * (uw(i, j - 1) + uw(i, j + 1));
     }
     thomas_solve_const(cx, dg, cx, rhs, sol);
     for (int i = 1; i <= nx - 1; ++i) {
-      u(i, j) = sol[static_cast<std::size_t>(i - 1)];
+      uo(i, j) = sol[static_cast<std::size_t>(i - 1)];
     }
     ctx.compute((kThomasFlopsPerRow + 4.0) * (nx - 1));
   };
@@ -67,23 +71,24 @@ void resid2(const Op2& op, const DistArray2<double>& u,
             Overlap overlap) {
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
+  const Range xs{1, nx - 1}, ys{1, ny - 1};
   auto uin = u.clone();
+  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
+  const auto fw = f.window(owned_box(f, {xs, ys}), false);
+  const auto rw = r.window(owned_box(r, {xs, ys}), false);
   auto body = [&](int i, int j) {
-    const double au = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
-                      cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
-                      dg * uin.at_halo({i, j});
-    r(i, j) = f(i, j) - au;
+    const double au = cx * (uw(i - 1, j) + uw(i + 1, j)) +
+                      cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
+    rw(i, j) = fw(i, j) - au;
   };
   if (overlap == Overlap::kOn) {
     auto ex = uin.exchange_halo_begin();
-    doall2_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, 1, Ring::kInterior,
-                body, 10.0);
+    doall2_ring(uin, xs, ys, 1, Ring::kInterior, body, 10.0);
     ex.finish();
-    doall2_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, 1, Ring::kBoundary,
-                body, 10.0);
+    doall2_ring(uin, xs, ys, 1, Ring::kBoundary, body, 10.0);
   } else {
     uin.exchange_halo();
-    doall2(r, Range{1, nx - 1}, Range{1, ny - 1}, body, 10.0);
+    doall2(r, xs, ys, body, 10.0);
   }
 }
 
@@ -94,17 +99,18 @@ double mg2_residual_norm(const Op2& op, const DistArray2<double>& u,
   if (!u.participating()) {
     return 0.0;
   }
-  auto uin = u.copy_in();
+  const auto uin = u.copy_in();
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
-  const double s =
-      doall2_sum(u, Range{1, nx - 1}, Range{1, ny - 1}, [&](int i, int j) {
-        const double au = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
-                          cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
-                          dg * uin.at_halo({i, j});
-        const double res = f(i, j) - au;
-        return res * res;
-      });
+  const Range xs{1, nx - 1}, ys{1, ny - 1};
+  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
+  const auto fw = f.window(owned_box(f, {xs, ys}), false);
+  const double s = doall2_sum(u, xs, ys, [&](int i, int j) {
+    const double au = cx * (uw(i - 1, j) + uw(i + 1, j)) +
+                      cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
+    const double res = fw(i, j) - au;
+    return res * res;
+  });
   return std::sqrt(s);
 }
 
@@ -151,9 +157,10 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
     }
     D2 v(ctx, pv, {nx + 1, ny + 1}, dists);
     redistribute(ctx, v1, v, opts.remap_order, opts.overlap);
-    doall2(
-        u, Range{1, nx - 1}, Range{1, ny - 1},
-        [&](int i, int j) { u(i, j) += v(i, j); }, 1.0);
+    const Range xs{1, nx - 1}, ys{1, ny - 1};
+    const auto uw = u.window(owned_box(u, {xs, ys}), false);
+    const auto vw = v.window(owned_box(v, {xs, ys}), false);
+    doall2(u, xs, ys, [&](int i, int j) { uw(i, j) += vw(i, j); }, 1.0);
     return;
   }
 
@@ -194,21 +201,26 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
                             /*d_stride=*/1, /*d_off=*/0, nyc,
                             opts.remap_order);
     }
+    const Range xs{1, nx - 1}, ks{1, nyc - 1};
+    const auto gw = g.window(owned_box(g, {xs, ks}), false);
+    const auto rew = re.window(owned_box(re, {xs, ks}), false);
+    const auto row = ro.window(owned_box(ro, {xs, ks}, {0, 1}), true);
     doall2(
-        g, Range{1, nx - 1}, Range{1, nyc - 1},
+        g, xs, ks,
         [&](int i, int K) {
-          g(i, K) = 0.25 * ro.at_halo({i, K - 1}) + 0.5 * re(i, K) +
-                    0.25 * ro.at_halo({i, K});
+          gw(i, K) = 0.25 * row(i, K - 1) + 0.5 * rew(i, K) + 0.25 * row(i, K);
         },
         4.0);
   } else {
     r.exchange_halo();
     D2 gtmp(ctx, pv, {nx + 1, ny + 1}, dists);
+    const Range xs{1, nx - 1}, evens{2, ny - 2, 2};
+    const auto gw = gtmp.window(owned_box(gtmp, {xs, evens}), false);
+    const auto rw = r.window(owned_box(r, {xs, evens}, {0, 1}), true);
     doall2(
-        gtmp, Range{1, nx - 1}, Range{2, ny - 2, 2},
+        gtmp, xs, evens,
         [&](int i, int j) {
-          gtmp(i, j) = 0.25 * r.at_halo({i, j - 1}) + 0.5 * r.at_halo({i, j}) +
-                       0.25 * r.at_halo({i, j + 1});
+          gw(i, j) = 0.25 * rw(i, j - 1) + 0.5 * rw(i, j) + 0.25 * rw(i, j + 1);
         },
         4.0);
     copy_strided_dim(ctx, gtmp, g, 1, /*s_stride=*/2, /*s_off=*/0,
@@ -225,12 +237,15 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
   // themselves — one redistribution per level switch instead of a remap
   // round plus a halo round.
   D2 vtmp(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-  auto even_update = [&](int i, int j) { u(i, j) += vtmp(i, j); };
+  const Range xs{1, nx - 1}, evens{2, ny - 2, 2}, odds{1, ny - 1, 2};
+  const auto ue = u.window(owned_box(u, {xs, evens}), false);
+  const auto ve = vtmp.window(owned_box(vtmp, {xs, evens}), false);
+  auto even_update = [&](int i, int j) { ue(i, j) += ve(i, j); };
   if (opts.fused_level_remap) {
     copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
                           /*d_stride=*/2, /*d_off=*/0, nyc + 1,
                           opts.remap_order, opts.overlap);
-    doall2(u, Range{1, nx - 1}, Range{2, ny - 2, 2}, even_update, 1.0);
+    doall2(u, xs, evens, even_update, 1.0);
   } else if (opts.overlap == Overlap::kOn) {
     // The even-line correction reads only vtmp's owned cells, so it rides
     // inside the separate halo exchange's wire window.
@@ -238,19 +253,19 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
                      /*d_stride=*/2, /*d_off=*/0, nyc + 1, opts.remap_order,
                      opts.overlap);
     auto ex = vtmp.exchange_halo_begin();
-    doall2(u, Range{1, nx - 1}, Range{2, ny - 2, 2}, even_update, 1.0);
+    doall2(u, xs, evens, even_update, 1.0);
     ex.finish();
   } else {
     copy_strided_dim(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
                      /*d_stride=*/2, /*d_off=*/0, nyc + 1, opts.remap_order);
     vtmp.exchange_halo();
-    doall2(u, Range{1, nx - 1}, Range{2, ny - 2, 2}, even_update, 1.0);
+    doall2(u, xs, evens, even_update, 1.0);
   }
+  const auto uo = u.window(owned_box(u, {xs, odds}), false);
+  const auto vo = vtmp.window(owned_box(vtmp, {xs, odds}, {0, 1}), true);
   doall2(
-      u, Range{1, nx - 1}, Range{1, ny - 1, 2},
-      [&](int i, int j) {
-        u(i, j) += 0.5 * (vtmp.at_halo({i, j - 1}) + vtmp.at_halo({i, j + 1}));
-      },
+      u, xs, odds,
+      [&](int i, int j) { uo(i, j) += 0.5 * (vo(i, j - 1) + vo(i, j + 1)); },
       3.0);
 }
 

@@ -20,25 +20,25 @@ void resid3(const Op3& op, const DistArray3<double>& u,
             Overlap overlap) {
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1, nz = f.extent(2) - 1;
   const double cx = op.cx(), cy = op.cy(), cz = op.cz(), dg = op.diag();
+  const Range xs{1, nx - 1}, ys{1, ny - 1}, zs{1, nz - 1};
   auto uin = u.clone();
+  const auto uw = uin.window(owned_box(uin, {xs, ys, zs}, {1, 1, 1}), true);
+  const auto fw = f.window(owned_box(f, {xs, ys, zs}), false);
+  const auto rw = r.window(owned_box(r, {xs, ys, zs}), false);
   auto body = [&](int i, int j, int k) {
-    const double au =
-        cx * (uin.at_halo({i - 1, j, k}) + uin.at_halo({i + 1, j, k})) +
-        cy * (uin.at_halo({i, j - 1, k}) + uin.at_halo({i, j + 1, k})) +
-        cz * (uin.at_halo({i, j, k - 1}) + uin.at_halo({i, j, k + 1})) +
-        dg * uin.at_halo({i, j, k});
-    r(i, j, k) = f(i, j, k) - au;
+    const double au = cx * (uw(i - 1, j, k) + uw(i + 1, j, k)) +
+                      cy * (uw(i, j - 1, k) + uw(i, j + 1, k)) +
+                      cz * (uw(i, j, k - 1) + uw(i, j, k + 1)) + dg * uw(i, j, k);
+    rw(i, j, k) = fw(i, j, k) - au;
   };
   if (overlap == Overlap::kOn) {
     auto ex = uin.exchange_halo_begin();
-    doall3_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, 1,
-                Ring::kInterior, body, 14.0);
+    doall3_ring(uin, xs, ys, zs, 1, Ring::kInterior, body, 14.0);
     ex.finish();
-    doall3_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, 1,
-                Ring::kBoundary, body, 14.0);
+    doall3_ring(uin, xs, ys, zs, 1, Ring::kBoundary, body, 14.0);
   } else {
     uin.exchange_halo();
-    doall3(r, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, body, 14.0);
+    doall3(r, xs, ys, zs, body, 14.0);
   }
 }
 
@@ -74,9 +74,10 @@ void mg3_zebra_sweep(const Op3& op, DistArray3<double>& u,
     for (int cyc = 0; cyc < opts.plane_cycles; ++cyc) {
       mg2_cycle(pop, delta, rplane, opts.plane_mg2);
     }
-    doall2(
-        uplane, Range{1, nx - 1}, Range{1, ny - 1},
-        [&](int i, int j) { uplane(i, j) += delta(i, j); }, 1.0);
+    const Range xs{1, nx - 1}, ys{1, ny - 1};
+    const auto uw = uplane.window(owned_box(uplane, {xs, ys}), false);
+    const auto dw = delta.window(owned_box(delta, {xs, ys}), false);
+    doall2(uplane, xs, ys, [&](int i, int j) { uw(i, j) += dw(i, j); }, 1.0);
   });
 }
 
@@ -85,19 +86,20 @@ double mg3_residual_norm(const Op3& op, const DistArray3<double>& u,
   if (!u.participating()) {
     return 0.0;
   }
-  auto uin = u.copy_in();
+  const auto uin = u.copy_in();
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1, nz = f.extent(2) - 1;
   const double cx = op.cx(), cy = op.cy(), cz = op.cz(), dg = op.diag();
+  const Range xs{1, nx - 1}, ys{1, ny - 1}, zs{1, nz - 1};
+  const auto uw = uin.window(owned_box(uin, {xs, ys, zs}, {1, 1, 1}), true);
+  const auto fw = f.window(owned_box(f, {xs, ys, zs}), false);
   double local = 0.0;
   doall3(
-      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1},
+      u, xs, ys, zs,
       [&](int i, int j, int k) {
-        const double au =
-            cx * (uin.at_halo({i - 1, j, k}) + uin.at_halo({i + 1, j, k})) +
-            cy * (uin.at_halo({i, j - 1, k}) + uin.at_halo({i, j + 1, k})) +
-            cz * (uin.at_halo({i, j, k - 1}) + uin.at_halo({i, j, k + 1})) +
-            dg * uin.at_halo({i, j, k});
-        const double res = f(i, j, k) - au;
+        const double au = cx * (uw(i - 1, j, k) + uw(i + 1, j, k)) +
+                          cy * (uw(i, j - 1, k) + uw(i, j + 1, k)) +
+                          cz * (uw(i, j, k - 1) + uw(i, j, k + 1)) + dg * uw(i, j, k);
+        const double res = fw(i, j, k) - au;
         local += res * res;
       },
       15.0);
@@ -144,9 +146,12 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
     }
     D3 v(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
     redistribute(ctx, v1, v, opts.remap_order, opts.overlap);
+    const Range xs{1, nx - 1}, ys{1, ny - 1}, zs{1, nz - 1};
+    const auto uw = u.window(owned_box(u, {xs, ys, zs}), false);
+    const auto vw = v.window(owned_box(v, {xs, ys, zs}), false);
     doall3(
-        u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1},
-        [&](int i, int j, int k) { u(i, j, k) += v(i, j, k); }, 1.0);
+        u, xs, ys, zs, [&](int i, int j, int k) { uw(i, j, k) += vw(i, j, k); },
+        1.0);
     return;
   }
   D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3, {0, 0, 1});
@@ -182,22 +187,28 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
       copy_strided_dim_halo(ctx, r, ro, 2, /*s_stride=*/2, /*s_off=*/1,
                             /*d_stride=*/1, /*d_off=*/0, nzc, opts.remap_order);
     }
+    const Range xs{1, nx - 1}, ys{1, ny - 1}, ks{1, nzc - 1};
+    const auto gw = g.window(owned_box(g, {xs, ys, ks}), false);
+    const auto rew = re.window(owned_box(re, {xs, ys, ks}), false);
+    const auto row = ro.window(owned_box(ro, {xs, ys, ks}, {0, 0, 1}), true);
     doall3(
-        g, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nzc - 1},
+        g, xs, ys, ks,
         [&](int i, int j, int K) {
-          g(i, j, K) = 0.25 * ro.at_halo({i, j, K - 1}) + 0.5 * re(i, j, K) +
-                       0.25 * ro.at_halo({i, j, K});
+          gw(i, j, K) =
+              0.25 * row(i, j, K - 1) + 0.5 * rew(i, j, K) + 0.25 * row(i, j, K);
         },
         4.0);
   } else {
     r.exchange_halo();
     D3 gtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
+    const Range xs{1, nx - 1}, ys{1, ny - 1}, evens{2, nz - 2, 2};
+    const auto gw = gtmp.window(owned_box(gtmp, {xs, ys, evens}), false);
+    const auto rw = r.window(owned_box(r, {xs, ys, evens}, {0, 0, 1}), true);
     doall3(
-        gtmp, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
+        gtmp, xs, ys, evens,
         [&](int i, int j, int k) {
-          gtmp(i, j, k) = 0.25 * r.at_halo({i, j, k - 1}) +
-                          0.5 * r.at_halo({i, j, k}) +
-                          0.25 * r.at_halo({i, j, k + 1});
+          gw(i, j, k) =
+              0.25 * rw(i, j, k - 1) + 0.5 * rw(i, j, k) + 0.25 * rw(i, j, k + 1);
         },
         4.0);
     copy_strided_dim(ctx, gtmp, g, 2, /*s_stride=*/2, /*s_off=*/0,
@@ -215,13 +226,15 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
   // path delivers vtmp's even-plane ghosts in the remap messages — one
   // redistribution per level switch instead of remap + halo rounds.
   D3 vtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3, {0, 0, 1});
-  auto even_update = [&](int i, int j, int k) { u(i, j, k) += vtmp(i, j, k); };
+  const Range xs{1, nx - 1}, ys{1, ny - 1}, evens{2, nz - 2, 2}, odds{1, nz - 1, 2};
+  const auto ue = u.window(owned_box(u, {xs, ys, evens}), false);
+  const auto ve = vtmp.window(owned_box(vtmp, {xs, ys, evens}), false);
+  auto even_update = [&](int i, int j, int k) { ue(i, j, k) += ve(i, j, k); };
   if (opts.fused_level_remap) {
     copy_strided_dim_halo(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
                           /*d_stride=*/2, /*d_off=*/0, nzc + 1,
                           opts.remap_order, opts.overlap);
-    doall3(u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-           even_update, 1.0);
+    doall3(u, xs, ys, evens, even_update, 1.0);
   } else if (opts.overlap == Overlap::kOn) {
     copy_strided_dim(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
                      /*d_stride=*/2, /*d_off=*/0, nzc + 1, opts.remap_order,
@@ -230,20 +243,20 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
     // while the z-halo is in flight; the odd planes (which read the ghosts)
     // follow the wait.
     auto ex = vtmp.exchange_halo_begin();
-    doall3(u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-           even_update, 1.0);
+    doall3(u, xs, ys, evens, even_update, 1.0);
     ex.finish();
   } else {
     copy_strided_dim(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
                      /*d_stride=*/2, /*d_off=*/0, nzc + 1, opts.remap_order);
     vtmp.exchange_halo();
-    doall3(u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-           even_update, 1.0);
+    doall3(u, xs, ys, evens, even_update, 1.0);
   }
+  const auto uo = u.window(owned_box(u, {xs, ys, odds}), false);
+  const auto vo = vtmp.window(owned_box(vtmp, {xs, ys, odds}, {0, 0, 1}), true);
   doall3(
-      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1, 2},
+      u, xs, ys, odds,
       [&](int i, int j, int k) {
-        u(i, j, k) += 0.5 * (vtmp.at_halo({i, j, k - 1}) + vtmp.at_halo({i, j, k + 1}));
+        uo(i, j, k) += 0.5 * (vo(i, j, k - 1) + vo(i, j, k + 1));
       },
       3.0);
 

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "machine/context.hpp"
@@ -1146,6 +1148,142 @@ TEST(DistArray, CellWalkerMatchesAccessorWalkCyclic) {
     DistArray2<double> a(ctx, ProcView::grid2(2, 2), {7, 6},
                          {DimDist::cyclic(), DimDist::block_dist()}, {0, 1});
     check_walker<2>(a, {dense_axis(7), dense_axis(6)});
+  });
+}
+
+// --- checked box windows ------------------------------------------------
+
+/// Every cell of this member's owned box, widened by the halo when
+/// `ghosts`: a window on that box must resolve each cell to the very
+/// element at_halo()/at() does, and writes through it must land there.
+template <class T, int R>
+void check_window(DistArray<T, R>& a, bool ghosts) {
+  if (!a.participating()) {
+    return;
+  }
+  Box<R> b;
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    const int h = ghosts ? a.halo(d) : 0;
+    b.lo[ud] = a.own_lower(d) - h;
+    b.hi[ud] = a.own_upper(d) + h;
+  }
+  const auto w = a.window(b, ghosts);
+  const auto cw = std::as_const(a).window(b, ghosts);
+  int cells = 0;
+  GIndex<R> g = b.lo;
+  for (;;) {
+    const auto via = [&](const auto& win) -> decltype(auto) {
+      return std::apply([&](auto... x) -> decltype(auto) { return win(x...); }, g);
+    };
+    const T* want = ghosts ? &a.at_halo(g) : &a.at(g);
+    EXPECT_EQ(&via(w), want);
+    EXPECT_EQ(&via(cw), want);
+    via(w) = static_cast<T>(cells);
+    EXPECT_EQ(*want, static_cast<T>(cells));
+    ++cells;
+    int d = R - 1;
+    for (; d >= 0; --d) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (++g[ud] <= b.hi[ud]) {
+        break;
+      }
+      g[ud] = b.lo[ud];
+    }
+    if (d < 0) {
+      break;
+    }
+  }
+  EXPECT_GT(cells, 0);
+}
+
+TEST(DistArray, WindowMatchesAccessorsOnArraySliceAndLocalizedView) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray3<double> a(ctx, ProcView::grid2(2, 2), {6, 3, 5},
+                         {DimDist::block_dist(), DimDist::star(),
+                          DimDist::block_dist()},
+                         {1, 0, 1});
+    for (const bool ghosts : {false, true}) {
+      check_window(a, ghosts);
+      auto star_plane = a.fix(1, 2);  // keeps the whole view
+      check_window(star_plane, ghosts);
+      auto block_plane = a.fix(2, 3);  // sliced to the owners of k = 3
+      check_window(block_plane, ghosts);
+    }
+    DistArray2<int> b(ctx, ProcView::grid2(2, 2), {8, 6},
+                      {DimDist::block_dist(), DimDist::block_dist()}, {1, 1});
+    if (b.participating()) {
+      // One owner's rows [lo + 1, upper] become a star dim.
+      auto rows = b.localize(0, b.own_lower(0) + 1, b.local_count(0) - 1);
+      check_window(rows, false);
+      check_window(rows, true);
+    }
+  });
+}
+
+TEST(DistArray, WindowRejectsABoxOutsideTheSlab) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid2(2, 2), {8, 6},
+                         {DimDist::block_dist(), DimDist::block_dist()}, {1, 1});
+    const int lo0 = a.own_lower(0), hi0 = a.own_upper(0);
+    const int lo1 = a.own_lower(1), hi1 = a.own_upper(1);
+    // One ghost layer is inside slab+halo; two are not.
+    EXPECT_EQ(thrown([&] { (void)a.window({lo0 - 1, lo1 - 1}, {hi0 + 1, hi1 + 1}, true); }),
+              "");
+    EXPECT_TRUE(carries(
+        thrown([&] { (void)a.window({lo0, lo1}, {hi0 + 2, hi1}, true); }),
+        "window: box outside slab+halo"));
+    EXPECT_TRUE(carries(
+        thrown([&] { (void)a.window({lo0, lo1 - 2}, {hi0, hi1}, true); }),
+        "window: box outside slab+halo"));
+    // Without ghosts, a single ghost cell at either corner is refused.
+    EXPECT_TRUE(carries(
+        thrown([&] { (void)a.window({lo0 - 1, lo1}, {hi0, hi1}, false); }),
+        "window: box not owned"));
+    EXPECT_TRUE(carries(
+        thrown([&] { (void)a.window({lo0, lo1}, {hi0, hi1 + 1}, false); }),
+        "window: box not owned"));
+  });
+}
+
+TEST(DistArray, WindowRejectsCyclicDims) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid2(2, 2), {8, 6},
+                         {DimDist::cyclic(), DimDist::block_dist()});
+    const int lo1 = a.own_lower(1), hi1 = a.own_upper(1);
+    const int owned0 = a.owned(0).front();
+    EXPECT_TRUE(carries(
+        thrown([&] { (void)a.window({owned0, lo1}, {owned0, hi1}, false); }),
+        "window: cyclic or block-cyclic dim; index it with at()"));
+    DistArray2<double> bc(ctx, ProcView::grid2(2, 2), {8, 6},
+                          {DimDist::block_dist(), DimDist::block_cyclic(2)});
+    const int lo0 = bc.own_lower(0);
+    const int owned1 = bc.owned(1).front();
+    EXPECT_TRUE(carries(
+        thrown([&] { (void)bc.window({lo0, owned1}, {lo0, owned1}, false); }),
+        "window: cyclic or block-cyclic dim; index it with at()"));
+  });
+}
+
+TEST(DistArray, WindowAcceptsAnEmptyBox) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid2(2, 2), {8, 6},
+                         {DimDist::cyclic(), DimDist::block_dist()});
+    // Empty along one dim: no membership, layout or slab test applies.
+    EXPECT_TRUE(a.window({0, 5}, {7, 4}, false).box().empty());
+    EXPECT_TRUE(a.window({100, 0}, {-100, 5}, true).box().empty());
+    // A non-member may open an empty window too; a non-empty one needs
+    // membership.
+    DistArray1<double> half(ctx, ProcView::grid1(2), {4}, {DimDist::block_dist()});
+    if (!half.participating()) {
+      EXPECT_TRUE(half.window({1}, {0}, false).box().empty());
+      EXPECT_TRUE(carries(thrown([&] { (void)half.window({0}, {0}, false); }),
+                          "operation requires view membership"));
+    }
   });
 }
 

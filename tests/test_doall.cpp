@@ -4,6 +4,8 @@
 
 #include <mutex>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "machine/context.hpp"
 #include "runtime/io.hpp"
@@ -250,6 +252,133 @@ TEST(Doall, EmptyRangeExecutesNothing) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
     doall(a, Range{5, 4}, [](int) { FAIL() << "must not run"; });
+  });
+}
+
+// --- ring partition ---------------------------------------------------------
+
+/// The ring partition's definition, per index: at least `margin` owned
+/// cells between it and every slab face that carries a halo.
+template <class T, int R>
+bool ring_interior_by_definition(const DistArray<T, R>& A, const GIndex<R>& g,
+                                 int margin) {
+  for (int d = 0; d < R; ++d) {
+    const int i = g[static_cast<std::size_t>(d)];
+    if (A.halo(d) > 0 &&
+        (i - A.own_lower(d) < margin || A.own_upper(d) - i < margin)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// kInterior then kBoundary visit exactly the blocking doall's indices:
+/// each part in the blocking loop's order, each index in the part its
+/// definition names, and the two charges summing to the blocking charge.
+void check_ring2(const DistArray2<double>& A, Range ri, Range rj, int margin) {
+  if (!A.participating()) {
+    return;
+  }
+  using G = GIndex<2>;
+  std::vector<G> all;
+  doall2(A, ri, rj, [&](int i, int j) { all.push_back({i, j}); });
+  std::vector<G> want[2];
+  for (const G& g : all) {
+    want[ring_interior_by_definition(A, g, margin) ? 0 : 1].push_back(g);
+  }
+  const double before = A.context().proc().counters().flops;
+  std::vector<G> got[2];
+  doall2_ring(A, ri, rj, margin, Ring::kInterior,
+              [&](int i, int j) { got[0].push_back({i, j}); }, 1.0);
+  doall2_ring(A, ri, rj, margin, Ring::kBoundary,
+              [&](int i, int j) { got[1].push_back({i, j}); }, 1.0);
+  EXPECT_EQ(got[0], want[0]);
+  EXPECT_EQ(got[1], want[1]);
+  EXPECT_DOUBLE_EQ(A.context().proc().counters().flops - before,
+                   static_cast<double>(all.size()));
+}
+
+void check_ring3(const DistArray3<double>& A, Range ri, Range rj, Range rk,
+                 int margin) {
+  if (!A.participating()) {
+    return;
+  }
+  using G = GIndex<3>;
+  std::vector<G> all;
+  doall3(A, ri, rj, rk, [&](int i, int j, int k) { all.push_back({i, j, k}); });
+  std::vector<G> want[2];
+  for (const G& g : all) {
+    want[ring_interior_by_definition(A, g, margin) ? 0 : 1].push_back(g);
+  }
+  std::vector<G> got[2];
+  doall3_ring(A, ri, rj, rk, margin, Ring::kInterior,
+              [&](int i, int j, int k) { got[0].push_back({i, j, k}); });
+  doall3_ring(A, ri, rj, rk, margin, Ring::kBoundary,
+              [&](int i, int j, int k) { got[1].push_back({i, j, k}); });
+  EXPECT_EQ(got[0], want[0]);
+  EXPECT_EQ(got[1], want[1]);
+}
+
+void check_slice_ring(const DistArray2<double>& A, int dim, Range r, int margin) {
+  if (!A.participating()) {
+    return;
+  }
+  std::vector<int> want[2];
+  doall_slice_owner(A, dim, r, [&](int i) {
+    const bool inside =
+        A.halo(dim) == 0 ||
+        (i - A.own_lower(dim) >= margin && A.own_upper(dim) - i >= margin);
+    want[inside ? 0 : 1].push_back(i);
+  });
+  std::vector<int> got[2];
+  doall_slice_ring(A, dim, r, margin, Ring::kInterior,
+                   [&](int i) { got[0].push_back(i); });
+  doall_slice_ring(A, dim, r, margin, Ring::kBoundary,
+                   [&](int i) { got[1].push_back(i); });
+  EXPECT_EQ(got[0], want[0]);
+  EXPECT_EQ(got[1], want[1]);
+}
+
+TEST(DoallRing, PartitionsTheOwnedSetOnOddProcessorGrids) {
+  // 3 x 1 and 1 x 3 grids: uneven blocks (extent 11 over 3 is 4, 4, 3),
+  // halo on one dim or both, strided ranges, margins 1 and 2.
+  Machine m(3, quiet_config());
+  m.run([](Context& ctx) {
+    for (const auto& [p0, p1] : {std::pair{3, 1}, std::pair{1, 3}}) {
+      DistArray2<double> a(ctx, ProcView::grid2(p0, p1), {11, 10},
+                           {DimDist::block_dist(), DimDist::block_dist()}, {1, 1});
+      DistArray2<double> b(ctx, ProcView::grid2(p0, p1), {11, 10},
+                           {DimDist::block_dist(), DimDist::block_dist()}, {0, 2});
+      for (const int margin : {1, 2}) {
+        check_ring2(a, Range{0, 10}, Range{0, 9}, margin);
+        check_ring2(a, Range{1, 9, 2}, Range{2, 8, 3}, margin);
+        check_ring2(b, Range{0, 10}, Range{1, 8}, margin);
+        check_slice_ring(a, 0, Range{0, 10}, margin);
+        check_slice_ring(b, 1, Range{1, 9, 2}, margin);
+      }
+    }
+    DistArray3<double> c(ctx, ProcView::grid2(3, 1), {5, 11, 4},
+                         {DimDist::star(), DimDist::block_dist(),
+                          DimDist::block_dist()},
+                         {0, 1, 1});
+    check_ring3(c, Range{1, 3}, Range{0, 10}, Range{0, 3}, 1);
+    check_ring3(c, Range{0, 4, 2}, Range{1, 9, 2}, Range{1, 2}, 2);
+  });
+}
+
+TEST(DoallRing, SlabThinnerThanTwoMarginsIsAllBoundary) {
+  // Extent 7 over 3 ranks is 3, 3, 1 cells: with margin 2 no owned cell
+  // is interior anywhere, and the boundary part alone is the blocking loop.
+  Machine m(3, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid1(3), {5, 7},
+                         {DimDist::star(), DimDist::block_dist()}, {0, 2});
+    check_ring2(a, Range{0, 4}, Range{0, 6}, 2);
+    check_slice_ring(a, 1, Range{0, 6}, 2);
+    int interior = 0;
+    doall2_ring(a, Range{0, 4}, Range{0, 6}, 2, Ring::kInterior,
+                [&](int, int) { ++interior; });
+    EXPECT_EQ(interior, 0);
   });
 }
 

@@ -15,6 +15,7 @@
 #include "machine/machine.hpp"
 #include "machine/message.hpp"
 #include "machine/processor.hpp"
+#include "runtime/dist_array.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -315,6 +316,22 @@ TEST(Invariants, BarrierSeparatedPhasesPassTheStraddleCheck) {
     }
     const double sum = allreduce_sum(ctx, g, 1.0);
     EXPECT_EQ(sum, 2.0);
+  });
+}
+
+// --- checked box windows ----------------------------------------------------
+
+TEST(Invariants, WindowAccessOutsideItsBoxIsCaught) {
+  SKIP_WITHOUT_INVARIANTS();
+  Machine m(1, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid1(1), {6, 5},
+                         {DimDist::star(), DimDist::block_dist()});
+    const auto w = a.window({1, 1}, {3, 3}, false);
+    EXPECT_NO_THROW((void)w(2, 3));
+    // Owned and in the slab, but outside the box the window validated.
+    EXPECT_THROW((void)w(4, 3), Error);
+    EXPECT_THROW((void)w(2, 0), Error);
   });
 }
 
