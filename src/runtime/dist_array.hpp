@@ -21,20 +21,23 @@
 // — so block/star layouts pay O(R) adds and compares per access, no
 // division; cyclic and block-cyclic dims go through DimMap's owner/local
 // division.  A loop pays the checks once instead, as the KF1 compiler's
-// strip-mined doall does: window(lo, hi, ghosts) tests a box's two corners
+// strip-mined doall does: window(box, ghosts) tests a box's two corners
 // against the slab and returns a BoxWindow whose accesses cost base +
-// sum(g * stride) and nothing else (owned_box in doall.hpp derives the box
-// from the loop's own ranges).  The element bodies of the mg2, mg3 and ADI
-// solvers all run through windows.  Per-element at() remains for cyclic
-// and block-cyclic layouts (they have no box), the examples, and the
-// transcriptions of the paper's listings (jacobi_kf1, adi_var, spline).
-// for_each_cell, the walker behind every box pack and unpack, makes
-// window()'s corner test and then walks the box's rows by stride.
+// sum(g * stride) and nothing else.  The box is the loop's own
+// (owned_box/slice_box in doall.hpp), so that one test covers every cell
+// the loop touches, in every operand the loop reads or writes.  The
+// element bodies of the mg2, mg3 and ADI solvers all run through windows.
+// Per-element at() remains for cyclic and block-cyclic layouts (they have
+// no box), the examples, and the transcriptions of the paper's listings
+// (jacobi_kf1, adi_var, spline).  for_each_cell, the walker behind every
+// box pack and unpack, makes window()'s corner test and then walks the
+// box's rows by stride.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -68,7 +71,9 @@ template <int R>
 using GIndex = std::array<int, static_cast<std::size_t>(R)>;
 
 /// Inclusive box of global indices, [lo, hi] per dim; empty when any hi <
-/// lo.  What DistArray::window validates and owned_box (doall.hpp) builds.
+/// lo.  A rank's owned slab (owned_box), a loop's share of its ranges
+/// (owned_box/slice_box in doall.hpp, validated by DistArray::window) and
+/// the slabs the box redistributions exchange.
 template <int R>
 struct Box {
   GIndex<R> lo{};
@@ -81,6 +86,30 @@ struct Box {
       }
     }
     return false;
+  }
+
+  [[nodiscard]] std::int64_t volume() const {
+    if (empty()) {
+      return 0;
+    }
+    std::int64_t v = 1;
+    for (std::size_t d = 0; d < lo.size(); ++d) {
+      v *= hi[d] - lo[d] + 1;
+    }
+    return v;
+  }
+
+  /// The box grown by reach[d] cells on both sides of dim d — a stencil's
+  /// ghost reach around the cells a loop visits.  An empty box stays empty.
+  [[nodiscard]] Box widened(const GIndex<R>& reach) const {
+    Box b = *this;
+    if (!empty()) {
+      for (std::size_t d = 0; d < lo.size(); ++d) {
+        b.lo[d] -= reach[d];
+        b.hi[d] += reach[d];
+      }
+    }
+    return b;
   }
 };
 
@@ -248,6 +277,17 @@ class DistArray {
   [[nodiscard]] int extent(int d) const { return extents_[idx(d)]; }
   [[nodiscard]] const DimMap& map(int d) const { return maps_[idx(d)]; }
   [[nodiscard]] DistKind dist_kind(int d) const { return dists_[idx(d)].kind; }
+  /// True when every dim is block or star, i.e. every rank's owned index
+  /// set is an axis-aligned box — what window() and the box
+  /// redistributions require.
+  [[nodiscard]] bool box_eligible() const {
+    for (std::size_t d = 0; d < UR; ++d) {
+      if (!affine(d)) {
+        return false;
+      }
+    }
+    return true;
+  }
   [[nodiscard]] int halo(int d) const { return halo_[idx(d)]; }
   [[nodiscard]] int proc_dim(int d) const { return proc_dim_[idx(d)]; }
   [[nodiscard]] Context& context() const {
@@ -378,25 +418,20 @@ class DistArray {
     return {store_->data() + offset_, strides_[0], lcount_[0]};
   }
 
-  /// Checked box window over the cells [lo, hi] (inclusive, global
-  /// indices): ghosts admits halo/frame cells (at_halo()/frame()
-  /// semantics), otherwise only owned cells (at() semantics).  A non-empty
-  /// box needs membership, block or star dims only (cyclic and
-  /// block-cyclic dims keep at()), and both corners in the slab — the same
-  /// corner test for_each_cell makes; each failure throws with its own
-  /// message.  An empty box yields a window nothing may read.
-  [[nodiscard]] BoxWindow<T, R> window(Extents lo, Extents hi, bool ghosts) {
-    return open_window<T>(*this, lo, hi, ghosts);
-  }
-  [[nodiscard]] BoxWindow<const T, R> window(Extents lo, Extents hi,
-                                             bool ghosts) const {
-    return open_window<const T>(*this, lo, hi, ghosts);
-  }
+  /// Checked box window over the cells of b (inclusive, global indices):
+  /// ghosts admits halo/frame cells (at_halo()/frame() semantics),
+  /// otherwise only owned cells (at() semantics).  A non-empty box needs
+  /// membership, block or star dims only (cyclic and block-cyclic dims keep
+  /// at()), and both corners in the slab — the same corner test
+  /// for_each_cell makes; each failure throws with its own message.  An
+  /// empty box yields a window nothing may read.  Take b from the loop
+  /// that uses the window (owned_box/slice_box in doall.hpp), so this one
+  /// test covers every cell the loop can touch.
   [[nodiscard]] BoxWindow<T, R> window(const Box<R>& b, bool ghosts) {
-    return window(b.lo, b.hi, ghosts);
+    return open_window<T>(*this, b, ghosts);
   }
   [[nodiscard]] BoxWindow<const T, R> window(const Box<R>& b, bool ghosts) const {
-    return window(b.lo, b.hi, ghosts);
+    return open_window<const T>(*this, b, ghosts);
   }
 
   // ---- fills ----------------------------------------------------------------
@@ -452,11 +487,12 @@ class DistArray {
   /// in row-major order (the wire order of every box pack and unpack),
   /// calling fn(T&) — fn(const T&) on a const array.  `ghosts` admits
   /// halo/frame cells (frame() semantics); otherwise only owned cells
-  /// (at() semantics).  No-op when any n[d] <= 0.  A box that window()
-  /// accepts is walked row by row through that window's base and strides,
-  /// with no per-cell check.  Cyclic layouts and boxes that leave the slab
-  /// go cell by cell through at()/frame()'s addressing, so a bad box throws
-  /// from its first bad cell, with that accessor's message.
+  /// (at() semantics).  No-op when any n[d] <= 0.  Steps may be negative.
+  /// When window() accepts the cells' bounding box, the rows are walked
+  /// through that window's base and strides, with no per-cell check.
+  /// Cyclic layouts and boxes that leave the slab go cell by cell through
+  /// at()/frame()'s addressing, so a bad box throws from its first bad
+  /// cell, with that accessor's message.
   template <class Fn>
   void for_each_cell(Extents first, Extents step, Extents n, bool ghosts, Fn fn) {
     walk_cells(*this, first, step, n, ghosts, fn);
@@ -860,38 +896,23 @@ class DistArray {
     return true;
   }
 
-  /// The window's box test without the throw: a member with block/star
-  /// dims only and both corners of [lo, hi] in the slab.  A box is convex,
-  /// so every cell between the corners is in the slab too.
-  [[nodiscard]] bool fits(const Extents& lo, const Extents& hi, bool ghosts) const {
-    if (!member_) {
-      return false;
-    }
-    for (std::size_t d = 0; d < UR; ++d) {
-      if (!affine(d)) {
-        return false;
-      }
-    }
-    return in_slab(lo, ghosts) && in_slab(hi, ghosts);
-  }
-
-  /// window() for both constnesses (Self is DistArray or const DistArray).
+  /// window()'s test without the throw, for both constnesses (Self is
+  /// DistArray or const DistArray): sets w up over b and returns true when
+  /// b is empty (nothing may be read) or a member with block/star dims
+  /// only has both corners of b in its slab — a box is convex, so every
+  /// cell between the corners is in the slab too.  False otherwise.
   template <class Cell, class Self>
-  static BoxWindow<Cell, R> open_window(Self& a, const Extents& lo,
-                                        const Extents& hi, bool ghosts) {
-    BoxWindow<Cell, R> w;
-    w.box_ = {lo, hi};
+  static bool try_window(Self& a, const Box<R>& b, bool ghosts,
+                         BoxWindow<Cell, R>& w) {
+    w.box_ = b;
     w.ghosts_ = ghosts;
     w.arr_ = &a;
-    if (w.box_.empty()) {
-      return w;
+    if (b.empty()) {
+      return true;
     }
-    if (!a.fits(lo, hi, ghosts)) {
-      a.require_member();
-      for (std::size_t d = 0; d < UR; ++d) {
-        KALI_CHECK(a.affine(d), "window: cyclic or block-cyclic dim; index it with at()");
-      }
-      KALI_FAIL(ghosts ? "window: box outside slab+halo" : "window: box not owned");
+    if (!a.member_ || !a.box_eligible() || !a.in_slab(b.lo, ghosts) ||
+        !a.in_slab(b.hi, ghosts)) {
+      return false;
     }
     w.data_ = a.store_->data();
     w.base_ = a.offset_;
@@ -899,6 +920,17 @@ class DistArray {
       w.base_ -= static_cast<std::ptrdiff_t>(a.lo_[d]) * a.strides_[d];
     }
     w.stride_ = a.strides_;
+    return true;
+  }
+
+  template <class Cell, class Self>
+  static BoxWindow<Cell, R> open_window(Self& a, const Box<R>& b, bool ghosts) {
+    BoxWindow<Cell, R> w;
+    if (!try_window(a, b, ghosts, w)) {
+      a.require_member();
+      KALI_CHECK(a.box_eligible(), "window: cyclic or block-cyclic dim; index it with at()");
+      KALI_FAIL(ghosts ? "window: box outside slab+halo" : "window: box not owned");
+    }
     return w;
   }
 
@@ -922,13 +954,14 @@ class DistArray {
   static void walk_cells(Self& a, const Extents& first, const Extents& step,
                          const Extents& n, bool ghosts, Fn& fn) {
     using Cell = std::conditional_t<std::is_const_v<Self>, const T, T>;
-    Extents last = first;
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (n[ud] <= 0) {
+    Box<R> box;  // the cells' bounding box; a step may be negative
+    for (std::size_t d = 0; d < UR; ++d) {
+      if (n[d] <= 0) {
         return;
       }
-      last[ud] += (n[ud] - 1) * step[ud];
+      const int last = first[d] + (n[d] - 1) * step[d];
+      box.lo[d] = std::min(first[d], last);
+      box.hi[d] = std::max(first[d], last);
     }
     auto flat = [&](const Extents& t) {
       Extents g{};
@@ -939,14 +972,14 @@ class DistArray {
       return a.flat(g, ghosts);
     };
     Extents t{};
-    if (!a.fits(first, last, ghosts)) {
+    BoxWindow<Cell, R> w;
+    if (!try_window(a, box, ghosts, w)) {
       do {
         const auto f = static_cast<std::size_t>(flat(t));
         fn(static_cast<Cell&>((*a.store_)[f]));
       } while (advance(t, n, R));
       return;
     }
-    const auto w = open_window<Cell>(a, first, last, ghosts);
     Cell* data = w.data_;
     const std::ptrdiff_t f0 = w.offset(first);
     std::array<std::ptrdiff_t, UR> jump{};
@@ -1411,6 +1444,19 @@ class DistArray {
   std::ptrdiff_t offset_ = 0;
   std::shared_ptr<std::vector<T>> store_;
 };
+
+/// The calling member's owned box: [own_lower(d), own_upper(d)] per dim
+/// (the paper's lower/upper intrinsics); block and star dims only.
+template <class T, int R>
+Box<R> owned_box(const DistArray<T, R>& A) {
+  Box<R> b;
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    b.lo[ud] = A.own_lower(d);
+    b.hi[ud] = A.own_upper(d);
+  }
+  return b;
+}
 
 template <class T>
 using DistArray1 = DistArray<T, 1>;

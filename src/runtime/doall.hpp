@@ -22,9 +22,10 @@
 // it).  Communication for right-hand-side reads is made explicit by the
 // caller via DistArray::copy_in()/exchange_halo() — the code the compiler
 // would generate for copy-in/copy-out semantics.  So is the strip-mined
-// address resolution: a body reads and writes through a
-// DistArray::window(owned_box(A, ranges, reach), ghosts) taken before the
-// loop, which validates the whole box once instead of every access.
+// address resolution: a body reads and writes through DistArray::window()s
+// opened on the loop's own box (owned_box, or slice_box when the body walks
+// the other dims itself) before the loop, which validates the whole box
+// once per operand instead of every access.
 #pragma once
 
 #include <array>
@@ -95,42 +96,69 @@ inline std::vector<int> owned_in_range(const DimMap& m, int c, Range r) {
   return out;
 }
 
+/// Clip dim d of b to the indices of r: the first and last index of r
+/// inside [b.lo[d], b.hi[d]], or hi < lo when none is.
+template <int R>
+void clip_to_range(Box<R>& b, std::size_t d, Range r) {
+  r.require_valid();
+  int first = r.lo;
+  if (b.lo[d] > first) {
+    first += (b.lo[d] - first + r.step - 1) / r.step * r.step;
+  }
+  const int last = std::min(r.hi, b.hi[d]);
+  b.lo[d] = first;
+  b.hi[d] = last < first ? first - 1 : first + (last - first) / r.step * r.step;
+}
+
+/// A loop's box over `ranges` on A: each range clipped to A's owned box
+/// along the dims with `owned` set, whole along the others.  Empty when
+/// this rank is no member.
+template <class T, int R>
+Box<R> loop_box(const DistArray<T, R>& A,
+                const std::array<Range, static_cast<std::size_t>(R)>& ranges,
+                const std::array<bool, static_cast<std::size_t>(R)>& owned) {
+  Box<R> b;
+  if (!A.participating()) {
+    b.hi.fill(-1);
+    return b;
+  }
+  const Box<R> mine = owned_box(A);
+  for (std::size_t d = 0; d < b.lo.size(); ++d) {
+    b.lo[d] = owned[d] ? mine.lo[d] : ranges[d].lo;
+    b.hi[d] = owned[d] ? mine.hi[d] : ranges[d].hi;
+    clip_to_range(b, d, ranges[d]);
+  }
+  return b;
+}
+
 }  // namespace detail
 
 /// This rank's share of the range product ranges[0] x ... x ranges[R-1] on
-/// A — the box of indices the matching doall visits — widened by reach[d]
-/// cells on both sides of dim d (the loop body's stencil reach), for
-/// DistArray::window.  Computed analytically per dim from the owned
-/// interval and the range's stride; empty when this rank is no member or
-/// owns none of the product.  Block and star dims only (own_lower()
-/// rejects the others).
+/// A: the box of indices doall, doall2 or doall3 over A (and the _ring and
+/// _sum forms) visit — the box to open every operand's window on, widened
+/// by the body's stencil reach where it reads ghosts.  Analytic and
+/// allocation-free; empty when this rank is no member or owns none of the
+/// product.  Block and star dims only (own_lower() rejects the others).
 template <class T, int R>
 Box<R> owned_box(const DistArray<T, R>& A,
-                 const std::array<Range, static_cast<std::size_t>(R)>& ranges,
-                 GIndex<R> reach = {}) {
-  Box<R> b;
-  for (std::size_t d = 0; d < b.lo.size(); ++d) {
-    ranges[d].require_valid();
-    b.hi[d] = -1;  // empty until dim d is placed
-  }
-  if (!A.participating()) {
-    return b;
-  }
-  for (int d = 0; d < R; ++d) {
-    const auto ud = static_cast<std::size_t>(d);
-    const Range r = ranges[ud];
-    int first = r.lo;
-    if (A.own_lower(d) > first) {
-      first += (A.own_lower(d) - first + r.step - 1) / r.step * r.step;
-    }
-    const int last = std::min(r.hi, A.own_upper(d));
-    if (last < first) {
-      return b;
-    }
-    b.lo[ud] = first - reach[ud];
-    b.hi[ud] = first + (last - first) / r.step * r.step + reach[ud];
-  }
-  return b;
+                 const std::array<Range, static_cast<std::size_t>(R)>& ranges) {
+  std::array<bool, static_cast<std::size_t>(R)> owned{};
+  owned.fill(true);
+  return detail::loop_box(A, ranges, owned);
+}
+
+/// The box a doall_slice_owner or doall_slice_ring over dim `fixed_dim` of
+/// A visits when its body walks every other dim e through all of
+/// ranges[e]: A's share of ranges[fixed_dim] along fixed_dim, the whole
+/// range elsewhere.  A window on it holds only when each operand's slab
+/// spans the walked dims in full.
+template <class T, int R>
+Box<R> slice_box(const DistArray<T, R>& A, int fixed_dim,
+                 const std::array<Range, static_cast<std::size_t>(R)>& ranges) {
+  KALI_CHECK(fixed_dim >= 0 && fixed_dim < R, "slice_box: dimension out of range");
+  std::array<bool, static_cast<std::size_t>(R)> owned{};
+  owned[static_cast<std::size_t>(fixed_dim)] = true;
+  return detail::loop_box(A, ranges, owned);
 }
 
 /// doall i = r on owner(A(i)).

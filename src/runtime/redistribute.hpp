@@ -125,35 +125,6 @@ std::size_t owner_index(const DistArray<T, R>& A, GIndex<R> g) {
   return lin;
 }
 
-/// Inclusive per-dimension index box; hi < lo along any dim means empty.
-template <int R>
-struct Box {
-  GIndex<R> lo{};
-  GIndex<R> hi{};
-
-  [[nodiscard]] bool empty() const {
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (hi[ud] < lo[ud]) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::int64_t volume() const {
-    std::int64_t v = 1;
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (hi[ud] < lo[ud]) {
-        return 0;
-      }
-      v *= hi[ud] - lo[ud] + 1;
-    }
-    return v;
-  }
-};
-
 /// Componentwise intersection; empty iff the boxes are disjoint (or either
 /// input was already empty).
 template <int R>
@@ -225,30 +196,6 @@ void copy_cells(const DistArray<T, R>& src, const Cells<R>& from,
   stage.clear();
   pack_cells(src, from, stage);
   unpack_cells(dst, to, ghosts, std::span<const T>(stage));
-}
-
-/// True when every dimension of A is block or star, i.e. every rank's owned
-/// index set is an axis-aligned box.
-template <class T, int R>
-bool box_eligible(const DistArray<T, R>& A) {
-  for (int d = 0; d < R; ++d) {
-    if (A.dist_kind(d) != DistKind::kBlock && A.dist_kind(d) != DistKind::kStar) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The calling member's owned box (block/star dims; paper's lower/upper).
-template <class T, int R>
-Box<R> owned_box(const DistArray<T, R>& A) {
-  Box<R> b;
-  for (int d = 0; d < R; ++d) {
-    const auto ud = static_cast<std::size_t>(d);
-    b.lo[ud] = A.own_lower(d);
-    b.hi[ud] = A.own_upper(d);
-  }
-  return b;
 }
 
 /// Visit every rank of box-eligible `A` whose owned box intersects `within`,
@@ -366,8 +313,8 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
   for (int d = 0; d < R; ++d) {
     KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
   }
-  if (overlap == Overlap::kOn && detail::box_eligible(src) &&
-      detail::box_eligible(dst)) {
+  if (overlap == Overlap::kOn && src.box_eligible() &&
+      dst.box_eligible()) {
     redistribute_begin(ctx, src, dst, order).finish();
     return;
   }
@@ -379,26 +326,26 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
   const std::vector<int> members =
       detail::union_members(src.view().ranks(), dst.view().ranks());
 
-  if (detail::box_eligible(src) && detail::box_eligible(dst)) {
+  if (src.box_eligible() && dst.box_eligible()) {
     // ---- box-intersection fast path: contiguous slab exchange -----------
     std::vector<T> buf;
     if (const std::int64_t copied = detail::copy_self_overlap(src, dst, buf);
         copied > 0) {
       ctx.compute(static_cast<double>(copied));
     }
-    std::vector<std::pair<int, detail::Box<R>>> out;
-    std::vector<std::pair<int, detail::Box<R>>> in;
+    std::vector<std::pair<int, Box<R>>> out;
+    std::vector<std::pair<int, Box<R>>> in;
     detail::box_transfers(ctx, src, dst, out, in);
     double packed = 0;
     double unpacked = 0;
-    auto send_one = [&](int rank, const detail::Box<R>& b) {
+    auto send_one = [&](int rank, const Box<R>& b) {
       buf.clear();
       buf.reserve(static_cast<std::size_t>(b.volume()));
       detail::pack_cells(src, detail::cells_of(b), buf);
       ctx.send_span<T>(rank, kTagRedistData, std::span<const T>(buf));
       packed += static_cast<double>(buf.size());
     };
-    auto recv_one = [&](int rank, const detail::Box<R>& b) {
+    auto recv_one = [&](int rank, const Box<R>& b) {
       auto vals = ctx.recv_vec<T>(rank, kTagRedistData);
       KALI_CHECK(vals.size() == static_cast<std::size_t>(b.volume()),
                  "redistribute: slab size mismatch");
@@ -493,7 +440,7 @@ template <class T, int R>
   for (int d = 0; d < R; ++d) {
     KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
   }
-  KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
+  KALI_CHECK(src.box_eligible() && dst.box_eligible(),
              "redistribute_begin: requires block/star layouts");
   if (!src.participating() && !dst.participating()) {
     return {};
@@ -501,8 +448,8 @@ template <class T, int R>
   const std::vector<int> members =
       detail::union_members(src.view().ranks(), dst.view().ranks());
 
-  std::vector<std::pair<int, detail::Box<R>>> out;
-  std::vector<std::pair<int, detail::Box<R>>> in;
+  std::vector<std::pair<int, Box<R>>> out;
+  std::vector<std::pair<int, Box<R>>> in;
   detail::box_transfers(ctx, src, dst, out, in);
 
   // Post every receive before the first send: the whole wire window is
@@ -539,13 +486,13 @@ template <class T, int R>
     ctx.compute(static_cast<double>(copied));
   }
 
-  auto slabs = std::make_shared<std::vector<std::pair<int, detail::Box<R>>>>(
+  auto slabs = std::make_shared<std::vector<std::pair<int, Box<R>>>>(
       std::move(in));
   return PendingExchange([&ctx, &dst, stage, hs, slabs] {
     ctx.wait_all(std::span<CommHandle>(*hs));
     double unpacked = 0;
     for (std::size_t i = 0; i < slabs->size(); ++i) {
-      const detail::Box<R>& b = (*slabs)[i].second;
+      const Box<R>& b = (*slabs)[i].second;
       const std::vector<T>& vals = (*stage)[i];
       KALI_CHECK(vals.size() == static_cast<std::size_t>(b.volume()),
                  "redistribute: slab size mismatch");

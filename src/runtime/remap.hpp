@@ -318,7 +318,7 @@ template <class T, int R>
     int s_stride, int s_off, int d_stride, int d_off, int count,
     IssueOrder order, bool fuse_halo) {
   check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off, count);
-  KALI_CHECK(box_eligible(src) && box_eligible(dst),
+  KALI_CHECK(src.box_eligible() && dst.box_eligible(),
              "copy_strided_dim_begin: requires block/star layouts");
   if (fuse_halo) {
     check_halo_fits(dst);
@@ -524,7 +524,7 @@ void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
     return;
   }
 
-  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
+  if (!src.box_eligible() || !dst.box_eligible()) {
     copy_strided_dim_binned(ctx, src, dst, dim, s_stride, s_off, d_stride,
                             d_off, count, order);
     return;
@@ -569,7 +569,7 @@ void copy_strided_dim_halo(Context& ctx, const DistArray<T, R>& src,
   }
   detail::check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off,
                              count);
-  KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
+  KALI_CHECK(src.box_eligible() && dst.box_eligible(),
              "copy_strided_dim_halo: requires block/star layouts");
   detail::check_halo_fits(dst);
   if (count == 0) {

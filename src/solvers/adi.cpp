@@ -26,9 +26,11 @@ void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
   const Range xs{0, nx - 1}, ys{0, ny - 1};
   auto uin = u.clone();
-  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
-  const auto fw = f.window(owned_box(f, {xs, ys}), false);
-  const auto rw = r.window(owned_box(r, {xs, ys}), false);
+  // The box of the doall below: over uin with the ring split, else over r.
+  const Box<2> box = owned_box(overlap == Overlap::kOn ? uin : r, {xs, ys});
+  const auto uw = uin.window(box.widened({1, 1}), true);
+  const auto fw = f.window(box, false);
+  const auto rw = r.window(box, false);
   auto body = [&](int i, int j) {
     const double lu = cx * (uw(i - 1, j) + uw(i + 1, j)) +
                       cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
@@ -67,8 +69,9 @@ double adi_residual_norm(const Op2& op, const DistArray2<double>& u,
   const int nx = f.extent(0), ny = f.extent(1);
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
   const Range xs{0, nx - 1}, ys{0, ny - 1};
-  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
-  const auto fw = f.window(owned_box(f, {xs, ys}), false);
+  const Box<2> box = owned_box(u, {xs, ys});
+  const auto uw = uin.window(box.widened({1, 1}), true);
+  const auto fw = f.window(box, false);
   const double s = doall2_sum(u, xs, ys, [&](int i, int j) {
     const double lu = cx * (uw(i - 1, j) + uw(i + 1, j)) +
                       cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
@@ -122,7 +125,9 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
     redistribute(ctx, r, rrows, IssueOrder::kRoundSchedule, opts.overlap);
     std::vector<double> fline(static_cast<std::size_t>(ny));
     std::vector<double> xline(static_cast<std::size_t>(ny));
-    const Box<2> rows = owned_box(rrows, {xs, ys});
+    // Each loop below visits its array's share of one dim and walks the
+    // other in full: the slice boxes.
+    const Box<2> rows = slice_box(rrows, 0, {xs, ys});
     const auto rw = rrows.window(rows, false);
     for (int i = rows.lo[0]; i <= rows.hi[0]; ++i) {
       for (int j = 0; j < ny; ++j) {
@@ -137,7 +142,7 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
     redistribute(ctx, rrows, vcols, IssueOrder::kRoundSchedule, opts.overlap);
     fline.resize(static_cast<std::size_t>(nx));
     xline.resize(static_cast<std::size_t>(nx));
-    const Box<2> cols = owned_box(vcols, {xs, ys});
+    const Box<2> cols = slice_box(vcols, 1, {xs, ys});
     const auto vw = vcols.window(cols, false);
     for (int j = cols.lo[1]; j <= cols.hi[1]; ++j) {
       for (int i = 0; i < nx; ++i) {
@@ -184,8 +189,9 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
     }
   }
 
-  const auto uw = u.window(owned_box(u, {xs, ys}), false);
-  const auto ww = w.window(owned_box(w, {xs, ys}), false);
+  const Box<2> box = owned_box(u, {xs, ys});
+  const auto uw = u.window(box, false);
+  const auto ww = w.window(box, false);
   doall2(u, xs, ys, [&](int i, int j) { uw(i, j) += ww(i, j); }, 1.0);
 }
 

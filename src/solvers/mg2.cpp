@@ -31,9 +31,11 @@ void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
   const int first = parity == 0 ? 2 : 1;
   const Range xs{1, nx - 1};
   const Range lines{first, ny - 1, 2};
-  const auto fw = f.window(owned_box(f, {xs, lines}), false);
-  const auto uw = u.window(owned_box(u, {xs, lines}, {0, 1}), true);
-  const auto uo = u.window(owned_box(u, {xs, lines}), false);
+  // The slice loop visits u's lines; solve_line walks all of xs itself.
+  const Box<2> box = slice_box(u, 1, {xs, lines});
+  const auto fw = f.window(box, false);
+  const auto uw = u.window(box.widened({0, 1}), true);
+  const auto uo = u.window(box, false);
   std::vector<double> rhs(static_cast<std::size_t>(nx - 1));
   std::vector<double> sol(rhs.size());
   auto solve_line = [&](int j) {
@@ -73,9 +75,11 @@ void resid2(const Op2& op, const DistArray2<double>& u,
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
   const Range xs{1, nx - 1}, ys{1, ny - 1};
   auto uin = u.clone();
-  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
-  const auto fw = f.window(owned_box(f, {xs, ys}), false);
-  const auto rw = r.window(owned_box(r, {xs, ys}), false);
+  // The box of the doall below: over uin with the ring split, else over r.
+  const Box<2> box = owned_box(overlap == Overlap::kOn ? uin : r, {xs, ys});
+  const auto uw = uin.window(box.widened({1, 1}), true);
+  const auto fw = f.window(box, false);
+  const auto rw = r.window(box, false);
   auto body = [&](int i, int j) {
     const double au = cx * (uw(i - 1, j) + uw(i + 1, j)) +
                       cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
@@ -103,8 +107,9 @@ double mg2_residual_norm(const Op2& op, const DistArray2<double>& u,
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
   const Range xs{1, nx - 1}, ys{1, ny - 1};
-  const auto uw = uin.window(owned_box(uin, {xs, ys}, {1, 1}), true);
-  const auto fw = f.window(owned_box(f, {xs, ys}), false);
+  const Box<2> box = owned_box(u, {xs, ys});
+  const auto uw = uin.window(box.widened({1, 1}), true);
+  const auto fw = f.window(box, false);
   const double s = doall2_sum(u, xs, ys, [&](int i, int j) {
     const double au = cx * (uw(i - 1, j) + uw(i + 1, j)) +
                       cy * (uw(i, j - 1) + uw(i, j + 1)) + dg * uw(i, j);
@@ -158,8 +163,9 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
     D2 v(ctx, pv, {nx + 1, ny + 1}, dists);
     redistribute(ctx, v1, v, opts.remap_order, opts.overlap);
     const Range xs{1, nx - 1}, ys{1, ny - 1};
-    const auto uw = u.window(owned_box(u, {xs, ys}), false);
-    const auto vw = v.window(owned_box(v, {xs, ys}), false);
+    const Box<2> box = owned_box(u, {xs, ys});
+    const auto uw = u.window(box, false);
+    const auto vw = v.window(box, false);
     doall2(u, xs, ys, [&](int i, int j) { uw(i, j) += vw(i, j); }, 1.0);
     return;
   }
@@ -202,9 +208,10 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
                             opts.remap_order);
     }
     const Range xs{1, nx - 1}, ks{1, nyc - 1};
-    const auto gw = g.window(owned_box(g, {xs, ks}), false);
-    const auto rew = re.window(owned_box(re, {xs, ks}), false);
-    const auto row = ro.window(owned_box(ro, {xs, ks}, {0, 1}), true);
+    const Box<2> box = owned_box(g, {xs, ks});
+    const auto gw = g.window(box, false);
+    const auto rew = re.window(box, false);
+    const auto row = ro.window(box.widened({0, 1}), true);
     doall2(
         g, xs, ks,
         [&](int i, int K) {
@@ -215,8 +222,9 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
     r.exchange_halo();
     D2 gtmp(ctx, pv, {nx + 1, ny + 1}, dists);
     const Range xs{1, nx - 1}, evens{2, ny - 2, 2};
-    const auto gw = gtmp.window(owned_box(gtmp, {xs, evens}), false);
-    const auto rw = r.window(owned_box(r, {xs, evens}, {0, 1}), true);
+    const Box<2> box = owned_box(gtmp, {xs, evens});
+    const auto gw = gtmp.window(box, false);
+    const auto rw = r.window(box.widened({0, 1}), true);
     doall2(
         gtmp, xs, evens,
         [&](int i, int j) {
@@ -238,8 +246,9 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
   // round plus a halo round.
   D2 vtmp(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
   const Range xs{1, nx - 1}, evens{2, ny - 2, 2}, odds{1, ny - 1, 2};
-  const auto ue = u.window(owned_box(u, {xs, evens}), false);
-  const auto ve = vtmp.window(owned_box(vtmp, {xs, evens}), false);
+  const Box<2> even_box = owned_box(u, {xs, evens});
+  const auto ue = u.window(even_box, false);
+  const auto ve = vtmp.window(even_box, false);
   auto even_update = [&](int i, int j) { ue(i, j) += ve(i, j); };
   if (opts.fused_level_remap) {
     copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
@@ -261,8 +270,9 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
     vtmp.exchange_halo();
     doall2(u, xs, evens, even_update, 1.0);
   }
-  const auto uo = u.window(owned_box(u, {xs, odds}), false);
-  const auto vo = vtmp.window(owned_box(vtmp, {xs, odds}, {0, 1}), true);
+  const Box<2> odd_box = owned_box(u, {xs, odds});
+  const auto uo = u.window(odd_box, false);
+  const auto vo = vtmp.window(odd_box.widened({0, 1}), true);
   doall2(
       u, xs, odds,
       [&](int i, int j) { uo(i, j) += 0.5 * (vo(i, j - 1) + vo(i, j + 1)); },

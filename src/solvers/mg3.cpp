@@ -22,9 +22,11 @@ void resid3(const Op3& op, const DistArray3<double>& u,
   const double cx = op.cx(), cy = op.cy(), cz = op.cz(), dg = op.diag();
   const Range xs{1, nx - 1}, ys{1, ny - 1}, zs{1, nz - 1};
   auto uin = u.clone();
-  const auto uw = uin.window(owned_box(uin, {xs, ys, zs}, {1, 1, 1}), true);
-  const auto fw = f.window(owned_box(f, {xs, ys, zs}), false);
-  const auto rw = r.window(owned_box(r, {xs, ys, zs}), false);
+  // The box of the doall below: over uin with the ring split, else over r.
+  const Box<3> box = owned_box(overlap == Overlap::kOn ? uin : r, {xs, ys, zs});
+  const auto uw = uin.window(box.widened({1, 1, 1}), true);
+  const auto fw = f.window(box, false);
+  const auto rw = r.window(box, false);
   auto body = [&](int i, int j, int k) {
     const double au = cx * (uw(i - 1, j, k) + uw(i + 1, j, k)) +
                       cy * (uw(i, j - 1, k) + uw(i, j + 1, k)) +
@@ -75,8 +77,9 @@ void mg3_zebra_sweep(const Op3& op, DistArray3<double>& u,
       mg2_cycle(pop, delta, rplane, opts.plane_mg2);
     }
     const Range xs{1, nx - 1}, ys{1, ny - 1};
-    const auto uw = uplane.window(owned_box(uplane, {xs, ys}), false);
-    const auto dw = delta.window(owned_box(delta, {xs, ys}), false);
+    const Box<2> box = owned_box(uplane, {xs, ys});
+    const auto uw = uplane.window(box, false);
+    const auto dw = delta.window(box, false);
     doall2(uplane, xs, ys, [&](int i, int j) { uw(i, j) += dw(i, j); }, 1.0);
   });
 }
@@ -90,8 +93,9 @@ double mg3_residual_norm(const Op3& op, const DistArray3<double>& u,
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1, nz = f.extent(2) - 1;
   const double cx = op.cx(), cy = op.cy(), cz = op.cz(), dg = op.diag();
   const Range xs{1, nx - 1}, ys{1, ny - 1}, zs{1, nz - 1};
-  const auto uw = uin.window(owned_box(uin, {xs, ys, zs}, {1, 1, 1}), true);
-  const auto fw = f.window(owned_box(f, {xs, ys, zs}), false);
+  const Box<3> box = owned_box(u, {xs, ys, zs});
+  const auto uw = uin.window(box.widened({1, 1, 1}), true);
+  const auto fw = f.window(box, false);
   double local = 0.0;
   doall3(
       u, xs, ys, zs,
@@ -147,8 +151,9 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
     D3 v(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
     redistribute(ctx, v1, v, opts.remap_order, opts.overlap);
     const Range xs{1, nx - 1}, ys{1, ny - 1}, zs{1, nz - 1};
-    const auto uw = u.window(owned_box(u, {xs, ys, zs}), false);
-    const auto vw = v.window(owned_box(v, {xs, ys, zs}), false);
+    const Box<3> box = owned_box(u, {xs, ys, zs});
+    const auto uw = u.window(box, false);
+    const auto vw = v.window(box, false);
     doall3(
         u, xs, ys, zs, [&](int i, int j, int k) { uw(i, j, k) += vw(i, j, k); },
         1.0);
@@ -188,9 +193,10 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
                             /*d_stride=*/1, /*d_off=*/0, nzc, opts.remap_order);
     }
     const Range xs{1, nx - 1}, ys{1, ny - 1}, ks{1, nzc - 1};
-    const auto gw = g.window(owned_box(g, {xs, ys, ks}), false);
-    const auto rew = re.window(owned_box(re, {xs, ys, ks}), false);
-    const auto row = ro.window(owned_box(ro, {xs, ys, ks}, {0, 0, 1}), true);
+    const Box<3> box = owned_box(g, {xs, ys, ks});
+    const auto gw = g.window(box, false);
+    const auto rew = re.window(box, false);
+    const auto row = ro.window(box.widened({0, 0, 1}), true);
     doall3(
         g, xs, ys, ks,
         [&](int i, int j, int K) {
@@ -202,8 +208,9 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
     r.exchange_halo();
     D3 gtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
     const Range xs{1, nx - 1}, ys{1, ny - 1}, evens{2, nz - 2, 2};
-    const auto gw = gtmp.window(owned_box(gtmp, {xs, ys, evens}), false);
-    const auto rw = r.window(owned_box(r, {xs, ys, evens}, {0, 0, 1}), true);
+    const Box<3> box = owned_box(gtmp, {xs, ys, evens});
+    const auto gw = gtmp.window(box, false);
+    const auto rw = r.window(box.widened({0, 0, 1}), true);
     doall3(
         gtmp, xs, ys, evens,
         [&](int i, int j, int k) {
@@ -227,8 +234,9 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
   // redistribution per level switch instead of remap + halo rounds.
   D3 vtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3, {0, 0, 1});
   const Range xs{1, nx - 1}, ys{1, ny - 1}, evens{2, nz - 2, 2}, odds{1, nz - 1, 2};
-  const auto ue = u.window(owned_box(u, {xs, ys, evens}), false);
-  const auto ve = vtmp.window(owned_box(vtmp, {xs, ys, evens}), false);
+  const Box<3> even_box = owned_box(u, {xs, ys, evens});
+  const auto ue = u.window(even_box, false);
+  const auto ve = vtmp.window(even_box, false);
   auto even_update = [&](int i, int j, int k) { ue(i, j, k) += ve(i, j, k); };
   if (opts.fused_level_remap) {
     copy_strided_dim_halo(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
@@ -251,8 +259,9 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
     vtmp.exchange_halo();
     doall3(u, xs, ys, evens, even_update, 1.0);
   }
-  const auto uo = u.window(owned_box(u, {xs, ys, odds}), false);
-  const auto vo = vtmp.window(owned_box(vtmp, {xs, ys, odds}, {0, 0, 1}), true);
+  const Box<3> odd_box = owned_box(u, {xs, ys, odds});
+  const auto uo = u.window(odd_box, false);
+  const auto vo = vtmp.window(odd_box.widened({0, 0, 1}), true);
   doall3(
       u, xs, ys, odds,
       [&](int i, int j, int k) {

@@ -1151,6 +1151,21 @@ TEST(DistArray, CellWalkerMatchesAccessorWalkCyclic) {
   });
 }
 
+TEST(DistArray, CellWalkerMatchesAccessorWalkNegativeSteps) {
+  // A negative step walks from the high corner down: the row walk must
+  // visit the cells of the bounding box in the accessor walk's order.
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid2(2, 2), {9, 7},
+                         {DimDist::block_dist(), DimDist::block_dist()}, {1, 1});
+    Axis a0 = dense_axis(9);
+    a0.steps = {-1, -2, 1};
+    Axis a1 = dense_axis(7);
+    a1.steps = {-1, 2};
+    check_walker<2>(a, {a0, a1});
+  });
+}
+
 // --- checked box windows ------------------------------------------------
 
 /// Every cell of this member's owned box, widened by the halo when
@@ -1230,20 +1245,20 @@ TEST(DistArray, WindowRejectsABoxOutsideTheSlab) {
     const int lo0 = a.own_lower(0), hi0 = a.own_upper(0);
     const int lo1 = a.own_lower(1), hi1 = a.own_upper(1);
     // One ghost layer is inside slab+halo; two are not.
-    EXPECT_EQ(thrown([&] { (void)a.window({lo0 - 1, lo1 - 1}, {hi0 + 1, hi1 + 1}, true); }),
+    EXPECT_EQ(thrown([&] { (void)a.window({{lo0 - 1, lo1 - 1}, {hi0 + 1, hi1 + 1}}, true); }),
               "");
     EXPECT_TRUE(carries(
-        thrown([&] { (void)a.window({lo0, lo1}, {hi0 + 2, hi1}, true); }),
+        thrown([&] { (void)a.window({{lo0, lo1}, {hi0 + 2, hi1}}, true); }),
         "window: box outside slab+halo"));
     EXPECT_TRUE(carries(
-        thrown([&] { (void)a.window({lo0, lo1 - 2}, {hi0, hi1}, true); }),
+        thrown([&] { (void)a.window({{lo0, lo1 - 2}, {hi0, hi1}}, true); }),
         "window: box outside slab+halo"));
     // Without ghosts, a single ghost cell at either corner is refused.
     EXPECT_TRUE(carries(
-        thrown([&] { (void)a.window({lo0 - 1, lo1}, {hi0, hi1}, false); }),
+        thrown([&] { (void)a.window({{lo0 - 1, lo1}, {hi0, hi1}}, false); }),
         "window: box not owned"));
     EXPECT_TRUE(carries(
-        thrown([&] { (void)a.window({lo0, lo1}, {hi0, hi1 + 1}, false); }),
+        thrown([&] { (void)a.window({{lo0, lo1}, {hi0, hi1 + 1}}, false); }),
         "window: box not owned"));
   });
 }
@@ -1256,14 +1271,14 @@ TEST(DistArray, WindowRejectsCyclicDims) {
     const int lo1 = a.own_lower(1), hi1 = a.own_upper(1);
     const int owned0 = a.owned(0).front();
     EXPECT_TRUE(carries(
-        thrown([&] { (void)a.window({owned0, lo1}, {owned0, hi1}, false); }),
+        thrown([&] { (void)a.window({{owned0, lo1}, {owned0, hi1}}, false); }),
         "window: cyclic or block-cyclic dim; index it with at()"));
     DistArray2<double> bc(ctx, ProcView::grid2(2, 2), {8, 6},
                           {DimDist::block_dist(), DimDist::block_cyclic(2)});
     const int lo0 = bc.own_lower(0);
     const int owned1 = bc.owned(1).front();
     EXPECT_TRUE(carries(
-        thrown([&] { (void)bc.window({lo0, owned1}, {lo0, owned1}, false); }),
+        thrown([&] { (void)bc.window({{lo0, owned1}, {lo0, owned1}}, false); }),
         "window: cyclic or block-cyclic dim; index it with at()"));
   });
 }
@@ -1274,14 +1289,14 @@ TEST(DistArray, WindowAcceptsAnEmptyBox) {
     DistArray2<double> a(ctx, ProcView::grid2(2, 2), {8, 6},
                          {DimDist::cyclic(), DimDist::block_dist()});
     // Empty along one dim: no membership, layout or slab test applies.
-    EXPECT_TRUE(a.window({0, 5}, {7, 4}, false).box().empty());
-    EXPECT_TRUE(a.window({100, 0}, {-100, 5}, true).box().empty());
+    EXPECT_TRUE(a.window({{0, 5}, {7, 4}}, false).box().empty());
+    EXPECT_TRUE(a.window({{100, 0}, {-100, 5}}, true).box().empty());
     // A non-member may open an empty window too; a non-empty one needs
     // membership.
     DistArray1<double> half(ctx, ProcView::grid1(2), {4}, {DimDist::block_dist()});
     if (!half.participating()) {
-      EXPECT_TRUE(half.window({1}, {0}, false).box().empty());
-      EXPECT_TRUE(carries(thrown([&] { (void)half.window({0}, {0}, false); }),
+      EXPECT_TRUE(half.window({{1}, {0}}, false).box().empty());
+      EXPECT_TRUE(carries(thrown([&] { (void)half.window({{0}, {0}}, false); }),
                           "operation requires view membership"));
     }
   });

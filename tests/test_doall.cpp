@@ -382,5 +382,75 @@ TEST(DoallRing, SlabThinnerThanTwoMarginsIsAllBoundary) {
   });
 }
 
+// --- loop boxes -------------------------------------------------------------
+
+/// The bounding box of the indices a loop visited; empty when none.
+Box<2> bounding_box(const std::vector<GIndex<2>>& cells) {
+  Box<2> b;
+  b.hi.fill(-1);
+  if (cells.empty()) {
+    return b;
+  }
+  b.lo = b.hi = cells.front();
+  for (const GIndex<2>& g : cells) {
+    for (std::size_t d = 0; d < 2; ++d) {
+      b.lo[d] = std::min(b.lo[d], g[d]);
+      b.hi[d] = std::max(b.hi[d], g[d]);
+    }
+  }
+  return b;
+}
+
+void expect_same_box(const Box<2>& got, const Box<2>& want) {
+  EXPECT_EQ(got.empty(), want.empty());
+  if (!want.empty()) {
+    EXPECT_EQ(got.lo, want.lo);
+    EXPECT_EQ(got.hi, want.hi);
+  }
+}
+
+TEST(LoopBox, OwnedBoxIsTheBoxTheDoallVisits) {
+  // Uneven blocks (11 over 3 is 4, 4, 3), strided ranges, and ranges some
+  // rank owns none of.
+  Machine m(3, quiet_config());
+  m.run([](Context& ctx) {
+    for (const auto& [p0, p1] : {std::pair{3, 1}, std::pair{1, 3}}) {
+      DistArray2<double> a(ctx, ProcView::grid2(p0, p1), {11, 10},
+                           {DimDist::block_dist(), DimDist::block_dist()});
+      for (const auto& [ri, rj] :
+           {std::pair{Range{0, 10}, Range{0, 9}}, std::pair{Range{1, 9, 2}, Range{2, 8, 3}},
+            std::pair{Range{10, 10}, Range{0, 9, 4}}, std::pair{Range{5, 4}, Range{0, 9}}}) {
+        std::vector<GIndex<2>> seen;
+        doall2(a, ri, rj, [&](int i, int j) { seen.push_back({i, j}); });
+        expect_same_box(owned_box(a, {ri, rj}), bounding_box(seen));
+      }
+    }
+    // A non-member's box is empty, and widening keeps an empty box empty.
+    DistArray2<double> half(ctx, ProcView::grid1(2), {4, 4},
+                            {DimDist::star(), DimDist::block_dist()});
+    if (!half.participating()) {
+      EXPECT_TRUE(owned_box(half, {Range{0, 3}, Range{0, 3}}).empty());
+    }
+    EXPECT_TRUE((Box<2>{{0, 5}, {3, 4}}.widened({1, 1}).empty()));
+  });
+}
+
+TEST(LoopBox, SliceBoxIsTheSliceLoopsShareTimesTheWalkedRange) {
+  Machine m(3, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid1(3), {5, 11},
+                         {DimDist::star(), DimDist::block_dist()});
+    const Range xs{1, 3};  // the dim the body walks itself
+    for (const Range r : {Range{0, 10}, Range{1, 9, 2}, Range{10, 10}}) {
+      std::vector<GIndex<2>> seen;
+      doall_slice_owner(a, 1, r, [&](int j) {
+        seen.push_back({xs.lo, j});
+        seen.push_back({xs.hi, j});
+      });
+      expect_same_box(slice_box(a, 1, {xs, r}), bounding_box(seen));
+    }
+  });
+}
+
 }  // namespace
 }  // namespace kali

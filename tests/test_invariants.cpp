@@ -327,7 +327,7 @@ TEST(Invariants, WindowAccessOutsideItsBoxIsCaught) {
   m.run([](Context& ctx) {
     DistArray2<double> a(ctx, ProcView::grid1(1), {6, 5},
                          {DimDist::star(), DimDist::block_dist()});
-    const auto w = a.window({1, 1}, {3, 3}, false);
+    const auto w = a.window({{1, 1}, {3, 3}}, false);
     EXPECT_NO_THROW((void)w(2, 3));
     // Owned and in the slab, but outside the box the window validated.
     EXPECT_THROW((void)w(4, 3), Error);

@@ -225,5 +225,42 @@ TEST(Mg2, CoarsenableGuardsDegenerateBlocks) {
   EXPECT_TRUE(detail::coarsenable(17, 4));  // 5, 5, 5, 2
 }
 
+// Each zebra line runs along all of x, so u must hold whole lines.  On a
+// (block, block) layout no rank does: the sweep throws, as element access
+// did, instead of reading and writing past the slab.
+TEST(Mg2, ZebraSweepRejectsALayoutThatSplitsTheLines) {
+  const int nx = 8, ny = 8;
+  for (const Overlap overlap : {Overlap::kOff, Overlap::kOn}) {
+    Machine m(4, quiet_config());
+    EXPECT_THROW(m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid2(2, 2);
+      Op2 op = model_op(nx, ny);
+      using D2 = DistArray2<double>;
+      const typename D2::Dists dists{DimDist::block_dist(), DimDist::block_dist()};
+      D2 u(ctx, pv, {nx + 1, ny + 1}, dists, {1, 1});
+      D2 f(ctx, pv, {nx + 1, ny + 1}, dists);
+      mg2_zebra_sweep(op, u, f, 0, overlap);
+    }),
+                 Error);
+  }
+}
+
+// The residual loop visits u's cells; an f laid out apart from u does not
+// own them, and the norm throws instead of reading outside f's slab.
+TEST(Mg2, ResidualNormRejectsAnRhsLaidOutApartFromU) {
+  const int nx = 8, ny = 8;
+  Machine m(2, quiet_config());
+  EXPECT_THROW(m.run([&](Context& ctx) {
+    ProcView pv = ProcView::grid1(2);
+    Op2 op = model_op(nx, ny);
+    using D2 = DistArray2<double>;
+    D2 u(ctx, pv, {nx + 1, ny + 1}, {DimDist::star(), DimDist::block_dist()},
+         {0, 1});
+    D2 f(ctx, pv, {nx + 1, ny + 1}, {DimDist::block_dist(), DimDist::star()});
+    (void)mg2_residual_norm(op, u, f);
+  }),
+               Error);
+}
+
 }  // namespace
 }  // namespace kali
