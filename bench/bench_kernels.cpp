@@ -45,6 +45,32 @@ void BM_Thomas(benchmark::State& state) {
 }
 BENCHMARK(BM_Thomas)->Arg(256)->Arg(4096)->Arg(65536);
 
+/// 16 constant-coefficient lines of 1024 solved as one batch, in place:
+/// contiguous rows (arg 0) or interleaved columns of stride 16 (arg 1).
+void BM_ThomasLines(benchmark::State& state) {
+  constexpr int kN = 1024, kLines = 16;
+  const bool columns = state.range(0) != 0;
+  Rng rng(5);
+  std::vector<double> rhs(static_cast<std::size_t>(kN * kLines));
+  for (auto& v : rhs) {
+    v = rng.uniform(-10, 10);
+  }
+  std::vector<double> x(rhs.size());
+  const ConstTridiag tri(-1.0, 4.0, -1.0, kN);
+  const StridedLines<double> lines =
+      columns ? StridedLines<double>{{x.data(), kLines, kN}, 1, kLines}
+              : StridedLines<double>{{x.data(), 1, kN}, kN, kLines};
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = rhs;
+    state.ResumeTiming();
+    tri.solve_lines(lines);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kN * kLines);
+}
+BENCHMARK(BM_ThomasLines)->Arg(0)->Arg(1);
+
 void BM_ReduceBlock(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<double> b, a, c, f;

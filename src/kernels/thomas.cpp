@@ -1,6 +1,6 @@
 #include "kernels/thomas.hpp"
 
-#include <vector>
+#include <algorithm>
 
 #include "support/check.hpp"
 
@@ -13,48 +13,83 @@ void thomas_solve(std::span<const double> b, std::span<const double> a,
   KALI_CHECK(n >= 1, "empty system");
   KALI_CHECK(b.size() == n && c.size() == n && f.size() == n && x.size() == n,
              "thomas: size mismatch");
-  std::vector<double> cp(n), fp(n);
+  // The forward sweep's values land in x; only the multipliers need room.
+  std::vector<double> cp(n);
   KALI_CHECK(a[0] != 0.0, "thomas: zero pivot");
   cp[0] = c[0] / a[0];
-  fp[0] = f[0] / a[0];
+  x[0] = f[0] / a[0];
   for (std::size_t i = 1; i < n; ++i) {
     const double denom = a[i] - b[i] * cp[i - 1];
     KALI_CHECK(denom != 0.0, "thomas: zero pivot");
     cp[i] = c[i] / denom;
-    fp[i] = (f[i] - b[i] * fp[i - 1]) / denom;
+    x[i] = (f[i] - b[i] * x[i - 1]) / denom;
   }
-  x[n - 1] = fp[n - 1];
   for (std::size_t i = n - 1; i-- > 0;) {
-    x[i] = fp[i] - cp[i] * x[i + 1];
+    x[i] -= cp[i] * x[i + 1];
+  }
+}
+
+ConstTridiag::ConstTridiag(double lo, double diag, double up, int n) : lo_(lo) {
+  KALI_CHECK(n >= 1, "empty system");
+  const auto un = static_cast<std::size_t>(n);
+  cp_.resize(un);
+  denom_.resize(un);
+  KALI_CHECK(diag != 0.0, "thomas: zero pivot");
+  denom_[0] = diag;
+  cp_[0] = up / diag;
+  for (std::size_t i = 1; i < un; ++i) {
+    denom_[i] = diag - lo * cp_[i - 1];
+    KALI_CHECK(denom_[i] != 0.0, "thomas: zero pivot");
+    cp_[i] = up / denom_[i];
+  }
+}
+
+void ConstTridiag::solve(std::span<const double> f, std::span<double> x) const {
+  const int n = size();
+  KALI_CHECK(f.size() == denom_.size() && x.size() == denom_.size(),
+             "thomas: size mismatch");
+  if (f.data() != x.data()) {
+    std::copy(f.begin(), f.end(), x.begin());
+  }
+  solve_lines({{x.data(), 1, n}, 0, 1});
+}
+
+void ConstTridiag::solve_lines(const StridedLines<double>& x) const {
+  if (x.count <= 0) {
+    return;
+  }
+  KALI_CHECK(x.first.n == size(), "thomas: size mismatch");
+  const std::ptrdiff_t s = x.first.stride;
+  const std::ptrdiff_t ls = x.line_stride;
+  const std::ptrdiff_t count = x.count;
+  const std::size_t n = denom_.size();
+  // Forward sweep: x[0] /= denom[0], x[i] = (x[i] - lo x[i-1]) / denom[i].
+  double* xi = x.first.data;
+  for (std::ptrdiff_t l = 0; l < count; ++l) {
+    xi[l * ls] /= denom_[0];
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const double d = denom_[i];
+    const double* xp = xi;
+    xi += s;
+    for (std::ptrdiff_t l = 0; l < count; ++l) {
+      xi[l * ls] = (xi[l * ls] - lo_ * xp[l * ls]) / d;
+    }
+  }
+  // Back sweep: x[i] -= cp[i] x[i+1].
+  for (std::size_t i = n - 1; i-- > 0;) {
+    const double c = cp_[i];
+    const double* xn = xi;
+    xi -= s;
+    for (std::ptrdiff_t l = 0; l < count; ++l) {
+      xi[l * ls] -= c * xn[l * ls];
+    }
   }
 }
 
 void thomas_solve_const(double lo, double diag, double up,
                         std::span<const double> f, std::span<double> x) {
-  const std::size_t n = f.size();
-  std::vector<double> b(n, lo), a(n, diag), c(n, up);
-  thomas_solve(b, a, c, f, x);
-}
-
-void thomas_solve_strided(Strided<const double> b, Strided<const double> a,
-                          Strided<const double> c, Strided<const double> f,
-                          Strided<double> x) {
-  const int n = a.n;
-  KALI_CHECK(b.n == n && c.n == n && f.n == n && x.n == n,
-             "thomas: size mismatch");
-  std::vector<double> bb(static_cast<std::size_t>(n)), aa(bb.size()),
-      cc(bb.size()), ff(bb.size()), xx(bb.size());
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    bb[u] = b[i];
-    aa[u] = a[i];
-    cc[u] = c[i];
-    ff[u] = f[i];
-  }
-  thomas_solve(bb, aa, cc, ff, xx);
-  for (int i = 0; i < n; ++i) {
-    x[i] = xx[static_cast<std::size_t>(i)];
-  }
+  ConstTridiag(lo, diag, up, static_cast<int>(f.size())).solve(f, x);
 }
 
 }  // namespace kali

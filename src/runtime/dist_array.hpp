@@ -26,7 +26,8 @@
 // sum(g * stride) and nothing else.  The box is the loop's own
 // (owned_box/slice_box in doall.hpp), so that one test covers every cell
 // the loop touches, in every operand the loop reads or writes.  The
-// element bodies of the mg2, mg3 and ADI solvers all run through windows.
+// element bodies of the mg2, mg3 and ADI solvers all run through windows,
+// and so do their batched line solves (BoxWindow::lines).
 // Per-element at() remains for cyclic and block-cyclic layouts (they have
 // no box), the examples, and the transcriptions of the paper's listings
 // (jacobi_kf1, adi_var, spline).  for_each_cell, the walker behind every
@@ -116,6 +117,32 @@ struct Box {
 template <class T, int R>
 class DistArray;
 
+/// Strided 1-D window over local memory; what sequential kernels consume.
+template <class T>
+struct Strided {
+  T* data = nullptr;
+  std::ptrdiff_t stride = 1;
+  int n = 0;
+
+  T& operator[](int i) const { return data[stride * static_cast<std::ptrdiff_t>(i)]; }
+
+  operator Strided<const T>() const  // NOLINT(google-explicit-constructor)
+    requires(!std::is_const_v<T>)
+  {
+    return {data, stride, n};
+  }
+};
+
+/// `count` equally spaced lines of equal length over local memory: line l
+/// is `first` moved by l * line_stride elements.  What batched sequential
+/// kernels consume (ConstTridiag::solve_lines).
+template <class T>
+struct StridedLines {
+  Strided<T> first;
+  std::ptrdiff_t line_stride = 0;
+  int count = 0;
+};
+
 /// A checked box window over a DistArray's local slab, taken with
 /// DistArray::window: a data pointer, the offset of global index 0 and one
 /// stride per dim, so W(i, j, k) costs base + i*s0 + j*s1 + k*s2 — the
@@ -150,6 +177,35 @@ class BoxWindow {
 
   /// The validated box (inclusive).
   [[nodiscard]] const Box<R>& box() const { return box_; }
+
+  /// The element stride of dim d.
+  [[nodiscard]] std::ptrdiff_t stride(int d) const {
+    return stride_[static_cast<std::size_t>(d)];
+  }
+
+  /// `count` lines of n cells along dim `along`, the first starting at
+  /// cell g and each next one `step` cells further along dim `across` —
+  /// a batch for a line kernel.  Base address and strides come from the
+  /// window, so no address outside the box is formed; under
+  /// KALI_CHECK_INVARIANTS each line's first and last cell is checked
+  /// against the box.  count <= 0 yields an empty batch.
+  [[nodiscard]] StridedLines<T> lines(const GIndex<R>& g, int along, int n,
+                                      int across, int step, int count) const {
+    if (count <= 0) {
+      return {};
+    }
+#if defined(KALI_CHECK_INVARIANTS)
+    for (int l = 0; l < count; ++l) {
+      GIndex<R> first = g;
+      first[static_cast<std::size_t>(across)] += l * step;
+      GIndex<R> last = first;
+      last[static_cast<std::size_t>(along)] += n - 1;
+      (void)cell(first);
+      (void)cell(last);
+    }
+#endif
+    return {{data_ + offset(g), stride(along), n}, step * stride(across), count};
+  }
 
  private:
   using Array = DistArray<std::remove_const_t<T>, R>;
@@ -186,22 +242,6 @@ class BoxWindow {
   Box<R> box_{};
   bool ghosts_ = false;
   const Array* arr_ = nullptr;  ///< for the invariant checks only
-};
-
-/// Strided 1-D window over local memory; what sequential kernels consume.
-template <class T>
-struct Strided {
-  T* data = nullptr;
-  std::ptrdiff_t stride = 1;
-  int n = 0;
-
-  T& operator[](int i) const { return data[stride * static_cast<std::ptrdiff_t>(i)]; }
-
-  operator Strided<const T>() const  // NOLINT(google-explicit-constructor)
-    requires(!std::is_const_v<T>)
-  {
-    return {data, stride, n};
-  }
 };
 
 template <class T, int R>
@@ -514,27 +554,43 @@ class DistArray {
     if (!member_) {
       return c;
     }
+    Extents n{};  // the slab's extents, halo margins included
     std::ptrdiff_t size = 1;
+    c.offset_ = 0;
     for (int d = R - 1; d >= 0; --d) {
       const auto ud = static_cast<std::size_t>(d);
+      n[ud] = lcount_[ud] + 2 * halo_[ud];
       c.strides_[ud] = size;
-      size *= lcount_[ud] + 2 * halo_[ud];
+      c.offset_ += static_cast<std::ptrdiff_t>(halo_[ud]) * size;
+      size *= n[ud];
     }
-    c.store_ = std::make_shared<std::vector<T>>(static_cast<std::size_t>(size));
-    c.offset_ = 0;
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      c.offset_ += static_cast<std::ptrdiff_t>(halo_[ud]) * c.strides_[ud];
+    // The clone is dense and row-major over the full slab, so appending
+    // the slab's rows in order lays it out.  A row is copied whole when it
+    // is contiguous here, cell by cell when *this is a slice that strides
+    // it.
+    auto store = std::make_shared<std::vector<T>>();
+    store->reserve(static_cast<std::size_t>(size));
+    if (size > 0) {
+      constexpr std::size_t in = UR - 1;  // the row dim
+      const std::ptrdiff_t s = strides_[in];
+      Extents t{};
+      do {
+        Extents rel{};
+        for (std::size_t d = 0; d < UR; ++d) {
+          rel[d] = t[d] - halo_[d];
+        }
+        const T* row = store_->data() + rel_flat_of(*this, rel);
+        if (s == 1) {
+          store->insert(store->end(), row, row + n[in]);
+        } else {
+          for (std::ptrdiff_t k = 0; k < n[in]; ++k) {
+            store->push_back(row[k * s]);
+          }
+        }
+      } while (advance(t, n, R - 1));
     }
-    // Copy the full slab (owned + halo) element-wise (layouts may differ
-    // when *this is a slice of a larger array).
-    std::ptrdiff_t copied = 0;
-    visit_slab([&](const GIndex<R>& rel) {
-      (*c.store_)[static_cast<std::size_t>(c.rel_flat(rel))] =
-          (*store_)[static_cast<std::size_t>(rel_flat_of(*this, rel))];
-      ++copied;
-    });
-    ctx_->compute(static_cast<double>(copied));
+    c.store_ = std::move(store);
+    ctx_->compute(static_cast<double>(size));
     return c;
   }
 
@@ -1011,37 +1067,6 @@ class DistArray {
   }
   [[nodiscard]] std::ptrdiff_t rel_flat(const GIndex<R>& rel) const {
     return rel_flat_of(*this, rel);
-  }
-
-  /// Visit all slab-relative coordinates including halo margins.
-  template <class Fn>
-  void visit_slab(Fn fn) const {
-    GIndex<R> rel{};
-    GIndex<R> lo{};
-    GIndex<R> hi{};
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      lo[ud] = -halo_[ud];
-      hi[ud] = lcount_[ud] + halo_[ud];  // exclusive
-      rel[ud] = lo[ud];
-      if (lo[ud] >= hi[ud]) {
-        return;  // empty slab
-      }
-    }
-    for (;;) {
-      fn(rel);
-      int d = R - 1;
-      for (; d >= 0; --d) {
-        const auto ud = static_cast<std::size_t>(d);
-        if (++rel[ud] < hi[ud]) {
-          break;
-        }
-        rel[ud] = lo[ud];
-      }
-      if (d < 0) {
-        return;
-      }
-    }
   }
 
   /// Visit every slab-relative coordinate in [lo, hi) (hi exclusive) in

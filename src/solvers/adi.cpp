@@ -120,39 +120,31 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
     D2 rrows(ctx, line, {nx, ny}, row_dists);
     D2 vcols(ctx, line, {nx, ny}, col_dists);
 
-    // Each line is fully read into fline before its solution is written, so
-    // both sweeps can land in place — two transposed temporaries suffice.
+    // Each sweep solves the rank's whole slice box in place as one batch
+    // of lines (rows are contiguous; a column strides by the slab's row
+    // length), charged one Thomas solve per line.  A factorization lives
+    // only between the redistributions around its sweep.
     redistribute(ctx, r, rrows, IssueOrder::kRoundSchedule, opts.overlap);
-    std::vector<double> fline(static_cast<std::size_t>(ny));
-    std::vector<double> xline(static_cast<std::size_t>(ny));
-    // Each loop below visits its array's share of one dim and walks the
-    // other in full: the slice boxes.
-    const Box<2> rows = slice_box(rrows, 0, {xs, ys});
-    const auto rw = rrows.window(rows, false);
-    for (int i = rows.lo[0]; i <= rows.hi[0]; ++i) {
-      for (int j = 0; j < ny; ++j) {
-        fline[static_cast<std::size_t>(j)] = rw(i, j);
+    {
+      const Box<2> rows = slice_box(rrows, 0, {xs, ys});
+      const auto rw = rrows.window(rows, false);
+      const int count = rows.hi[0] - rows.lo[0] + 1;
+      for (int l = 0; l < count; ++l) {
+        ctx.compute(kThomasFlopsPerRow * ny);
       }
-      thomas_solve_const(oy, dy, oy, fline, xline);
-      ctx.compute(kThomasFlopsPerRow * ny);
-      for (int j = 0; j < ny; ++j) {
-        rw(i, j) = xline[static_cast<std::size_t>(j)];
-      }
+      ConstTridiag(oy, dy, oy, ny).solve_lines(
+          rw.lines({rows.lo[0], 0}, /*along=*/1, ny, /*across=*/0, 1, count));
     }
     redistribute(ctx, rrows, vcols, IssueOrder::kRoundSchedule, opts.overlap);
-    fline.resize(static_cast<std::size_t>(nx));
-    xline.resize(static_cast<std::size_t>(nx));
-    const Box<2> cols = slice_box(vcols, 1, {xs, ys});
-    const auto vw = vcols.window(cols, false);
-    for (int j = cols.lo[1]; j <= cols.hi[1]; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        fline[static_cast<std::size_t>(i)] = vw(i, j);
+    {
+      const Box<2> cols = slice_box(vcols, 1, {xs, ys});
+      const auto vw = vcols.window(cols, false);
+      const int count = cols.hi[1] - cols.lo[1] + 1;
+      for (int l = 0; l < count; ++l) {
+        ctx.compute(kThomasFlopsPerRow * nx);
       }
-      thomas_solve_const(ox, dx, ox, fline, xline);
-      ctx.compute(kThomasFlopsPerRow * nx);
-      for (int i = 0; i < nx; ++i) {
-        vw(i, j) = xline[static_cast<std::size_t>(i)];
-      }
+      ConstTridiag(ox, dx, ox, nx).solve_lines(
+          vw.lines({0, cols.lo[1]}, /*along=*/0, nx, /*across=*/1, 1, count));
     }
     redistribute(ctx, vcols, w, IssueOrder::kRoundSchedule, opts.overlap);
   } else if (!opts.pipelined) {

@@ -22,10 +22,11 @@
 // Transpose variant: instead of distributed line solves, the direction
 // switch is a data redistribution — r is remapped to dist (block, *) so
 // every y-line solve is a purely local Thomas sweep, then to (*, block)
-// for the x-direction, then back to (block, block).  This is the paper's
-// "variety of distribution patterns can be tried by simple modifications"
-// made concrete, and it exercises redistribute()'s box-intersection slab
-// exchange on every iteration.
+// for the x-direction, then back to (block, block).  Each rank solves its
+// lines of a direction in place as one batch (ConstTridiag::solve_lines).
+// This is the paper's "variety of distribution patterns can be tried by
+// simple modifications" made concrete, and it exercises redistribute()'s
+// box-intersection slab exchange on every iteration.
 //
 // Arrays hold the n x n interior with a zero Dirichlet ghost frame
 // (dist (block, block) over procs(px, py), halo 1).

@@ -31,35 +31,49 @@ void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
   const int first = parity == 0 ? 2 : 1;
   const Range xs{1, nx - 1};
   const Range lines{first, ny - 1, 2};
-  // The slice loop visits u's lines; solve_line walks all of xs itself.
+  // The slice loop visits u's lines; each line's system walks all of xs.
   const Box<2> box = slice_box(u, 1, {xs, lines});
   const auto fw = f.window(box, false);
   const auto uw = u.window(box.widened({0, 1}), true);
   const auto uo = u.window(box, false);
-  std::vector<double> rhs(static_cast<std::size_t>(nx - 1));
-  std::vector<double> sol(rhs.size());
-  auto solve_line = [&](int j) {
-    // Line system along x:  cx u(i-1,j) + dg u(i,j) + cx u(i+1,j) = rhs.
-    for (int i = 1; i <= nx - 1; ++i) {
-      rhs[static_cast<std::size_t>(i - 1)] =
-          fw(i, j) - cy * (uw(i, j - 1) + uw(i, j + 1));
+  // Line system along x:  cx u(i-1,j) + dg u(i,j) + cx u(i+1,j) = rhs.  The
+  // right-hand side is built in u's own line: it reads only f and the
+  // other colour's lines, and this colour's lines never read each other,
+  // so the solve order is free.  Each line is charged as a ring pass visits
+  // it and joins a batch of lines 2 apart, solved when a line breaks the
+  // run or the pass ends.
+  int j0 = 0, count = 0;  // the batch: lines j0, j0 + 2, ...
+  auto solve_batch = [&](const ConstTridiag& tri) {
+    tri.solve_lines(uo.lines({1, j0}, /*along=*/0, nx - 1, /*across=*/1, 2, count));
+    count = 0;
+  };
+  auto add_line = [&](const ConstTridiag& tri, int j) {
+    if (count > 0 && j != j0 + 2 * count) {
+      solve_batch(tri);
     }
-    thomas_solve_const(cx, dg, cx, rhs, sol);
+    if (count == 0) {
+      j0 = j;
+    }
+    ++count;
     for (int i = 1; i <= nx - 1; ++i) {
-      uo(i, j) = sol[static_cast<std::size_t>(i - 1)];
+      uo(i, j) = fw(i, j) - cy * (uw(i, j - 1) + uw(i, j + 1));
     }
     ctx.compute((kThomasFlopsPerRow + 4.0) * (nx - 1));
   };
-  // Lines of the other colour feed the right-hand side; this colour's
-  // lines never read each other, so the solve order is free.
   if (overlap == Overlap::kOn) {
     auto ex = u.exchange_halo_begin();
-    doall_slice_ring(u, 1, lines, 1, Ring::kInterior, solve_line);
+    const ConstTridiag tri(cx, dg, cx, nx - 1);
+    auto add = [&](int j) { add_line(tri, j); };
+    doall_slice_ring(u, 1, lines, 1, Ring::kInterior, add);
+    solve_batch(tri);
     ex.finish();
-    doall_slice_ring(u, 1, lines, 1, Ring::kBoundary, solve_line);
+    doall_slice_ring(u, 1, lines, 1, Ring::kBoundary, add);
+    solve_batch(tri);
   } else {
     u.exchange_halo();
-    doall_slice_owner(u, 1, lines, solve_line);
+    const ConstTridiag tri(cx, dg, cx, nx - 1);
+    doall_slice_owner(u, 1, lines, [&](int j) { add_line(tri, j); });
+    solve_batch(tri);
   }
 }
 

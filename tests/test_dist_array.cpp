@@ -617,6 +617,40 @@ TEST(DistArray, CopyInSnapshotsOldValues) {
   });
 }
 
+TEST(DistArray, CloneCopiesEveryCellOfArraysAndSlices) {
+  // Every slab cell, halo margins included, is copied: whole rows of the
+  // array and of a row slice, cell by cell for a column slice (whose row
+  // dim strides through the parent's storage).
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    ProcView pv = ProcView::grid2(2, 2);
+    DistArray2<double> a(ctx, pv, {8, 7},
+                         {DimDist::block_dist(), DimDist::block_dist()}, {1, 1});
+    const int ilo = a.own_lower(0) - 1, ihi = a.own_upper(0) + 1;
+    const int jlo = a.own_lower(1) - 1, jhi = a.own_upper(1) + 1;
+    for (int i = ilo; i <= ihi; ++i) {
+      for (int j = jlo; j <= jhi; ++j) {
+        a.frame({i, j}) = tag2(i + 1, j + 1) + 0.5 * ctx.rank();
+      }
+    }
+    const auto whole = a.clone();
+    for (int i = ilo; i <= ihi; ++i) {
+      for (int j = jlo; j <= jhi; ++j) {
+        EXPECT_EQ(whole.at_halo({i, j}), a.at_halo({i, j}));
+      }
+    }
+    const int i0 = a.own_lower(0), j0 = a.own_upper(1);
+    const auto row = a.fix(0, i0).clone();
+    for (int j = jlo; j <= jhi; ++j) {
+      EXPECT_EQ(row.at_halo({j}), a.at_halo({i0, j}));
+    }
+    const auto col = a.fix(1, j0).clone();
+    for (int i = ilo; i <= ihi; ++i) {
+      EXPECT_EQ(col.at_halo({i}), a.at_halo({i, j0}));
+    }
+  });
+}
+
 TEST(DistArray, FixDistributedDimSlicesViewToOwners) {
   Machine m(4, quiet_config());
   m.run([](Context& ctx) {

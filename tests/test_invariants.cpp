@@ -335,5 +335,22 @@ TEST(Invariants, WindowAccessOutsideItsBoxIsCaught) {
   });
 }
 
+TEST(Invariants, BatchLineOverrunningItsBoxIsCaught) {
+  SKIP_WITHOUT_INVARIANTS();
+  Machine m(1, quiet_config());
+  m.run([](Context& ctx) {
+    DistArray2<double> a(ctx, ProcView::grid1(1), {6, 5},
+                         {DimDist::star(), DimDist::block_dist()});
+    const auto w = a.window({{1, 1}, {4, 3}}, false);
+    // Lines along dim 0 at j = 1 and 3: each runs rows 1..4, inside the box.
+    EXPECT_NO_THROW((void)w.lines({1, 1}, 0, 4, 1, 2, 2));
+    // One cell too long: every line's last cell is row 5, in the slab but
+    // outside the box.
+    EXPECT_THROW((void)w.lines({1, 1}, 0, 5, 1, 2, 2), Error);
+    // The third line (j = 5) starts outside the box.
+    EXPECT_THROW((void)w.lines({1, 1}, 0, 4, 1, 2, 3), Error);
+  });
+}
+
 }  // namespace
 }  // namespace kali

@@ -46,10 +46,11 @@ std::uint64_t digest(const DistArray<double, R>& u, double norm) {
   return fnv1a(all);
 }
 
-/// Two V-cycles of mg2 on a 16 x 32 Poisson problem over four ranks; the
-/// coarse levels agglomerate onto one rank, so every transfer path runs.
-std::uint64_t mg2_digest(Overlap overlap, bool fused) {
-  const int p = 4, nx = 16, ny = 32;
+/// Two V-cycles of mg2 on an nx x ny Poisson problem over p ranks (16 x 32
+/// over four by default); the coarse levels agglomerate onto one rank, so
+/// every transfer path runs.
+std::uint64_t mg2_digest(Overlap overlap, bool fused, int p = 4, int nx = 16,
+                         int ny = 32) {
   std::uint64_t out = 0;
   Machine m(p, quiet_config());
   m.run([&](Context& ctx) {
@@ -114,27 +115,28 @@ std::uint64_t mg3_digest(Overlap overlap, bool fused) {
   return out;
 }
 
-/// Three ADI iterations on a 24 x 24 problem over a 2 x 2 grid.
-std::uint64_t adi_digest(bool transpose, bool pipelined, Overlap overlap) {
-  const int n = 24;
+/// Three ADI iterations on an nx x ny problem over a px x py grid (24 x 24
+/// over 2 x 2 by default).
+std::uint64_t adi_digest(bool transpose, bool pipelined, Overlap overlap,
+                         int nx = 24, int ny = 24, int px = 2, int py = 2) {
   std::uint64_t out = 0;
-  Machine m(4, quiet_config());
+  Machine m(px * py, quiet_config());
   m.run([&](Context& ctx) {
     AdiOptions opts;
     opts.op.axx = opts.op.ayy = 1.0;
-    opts.op.hx = opts.op.hy = 1.0 / (n + 1);
-    opts.tau = adi_default_tau(opts.op, n);
+    opts.op.hx = 1.0 / (nx + 1);
+    opts.op.hy = 1.0 / (ny + 1);
+    opts.tau = adi_default_tau(opts.op, nx);
     opts.transpose = transpose;
     opts.pipelined = pipelined;
     opts.overlap = overlap;
     using D2 = DistArray2<double>;
     const typename D2::Dists dists{DimDist::block_dist(), DimDist::block_dist()};
-    const ProcView pv = ProcView::grid2(2, 2);
-    D2 u(ctx, pv, {n, n}, dists, {1, 1});
-    D2 f(ctx, pv, {n, n}, dists);
-    const double h = 1.0 / (n + 1);
+    const ProcView pv = ProcView::grid2(px, py);
+    D2 u(ctx, pv, {nx, ny}, dists, {1, 1});
+    D2 f(ctx, pv, {nx, ny}, dists);
     f.fill([&](std::array<int, 2> g) {
-      return rhs2(opts.op, (g[0] + 1) * h, (g[1] + 1) * h);
+      return rhs2(opts.op, (g[0] + 1) * opts.op.hx, (g[1] + 1) * opts.op.hy);
     });
     const double norm = adi_solve(opts, u, f, 3);
     const std::uint64_t d = digest(u, norm);
@@ -153,6 +155,12 @@ constexpr std::uint64_t kMg2Digest = 0x3e2010b7d27abe33ULL;
 constexpr std::uint64_t kMg3Digest = 0x1191864d550e57f3ULL;
 constexpr std::uint64_t kAdiTransposeDigest = 0x33a9ad058776e1e5ULL;
 constexpr std::uint64_t kAdiLineDigest = 0xc19a7a7c7f132b30ULL;
+// Recorded from the one-line-at-a-time Thomas solves, before the batched
+// line solver.  Mg2 on 16 x 16 over six ranks: the last rank owns line 15
+// alone, so its even-line sweeps solve an empty batch.  ADI transpose on
+// 23 x 17 over 2 x 3: every layout splits its rows and columns unevenly.
+constexpr std::uint64_t kMg2SixRankDigest = 0x969843fb2c8b912eULL;
+constexpr std::uint64_t kAdiTransposeUnevenDigest = 0xf8aeae80cc0e87fdULL;
 
 TEST(SolverDigest, Mg2CycleBlocking) {
   EXPECT_EQ(mg2_digest(Overlap::kOff, true), kMg2Digest);
@@ -164,6 +172,14 @@ TEST(SolverDigest, Mg2CycleOverlap) {
 
 TEST(SolverDigest, Mg2CycleUnfusedLevelSwitch) {
   EXPECT_EQ(mg2_digest(Overlap::kOff, false), kMg2Digest);
+}
+
+TEST(SolverDigest, Mg2CycleSixRanks) {
+  EXPECT_EQ(mg2_digest(Overlap::kOff, true, 6, 16, 16), kMg2SixRankDigest);
+}
+
+TEST(SolverDigest, Mg2CycleSixRanksOverlap) {
+  EXPECT_EQ(mg2_digest(Overlap::kOn, true, 6, 16, 16), kMg2SixRankDigest);
 }
 
 TEST(SolverDigest, Mg3CycleBlocking) {
@@ -184,6 +200,16 @@ TEST(SolverDigest, AdiTranspose) {
 
 TEST(SolverDigest, AdiTransposeOverlap) {
   EXPECT_EQ(adi_digest(true, false, Overlap::kOn), kAdiTransposeDigest);
+}
+
+TEST(SolverDigest, AdiTransposeUneven) {
+  EXPECT_EQ(adi_digest(true, false, Overlap::kOff, 23, 17, 2, 3),
+            kAdiTransposeUnevenDigest);
+}
+
+TEST(SolverDigest, AdiTransposeUnevenOverlap) {
+  EXPECT_EQ(adi_digest(true, false, Overlap::kOn, 23, 17, 2, 3),
+            kAdiTransposeUnevenDigest);
 }
 
 TEST(SolverDigest, AdiListing7) {

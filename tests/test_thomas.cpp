@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "support/check.hpp"
@@ -93,27 +98,100 @@ TEST(Thomas, ConstCoefficientMatchesGeneral) {
   }
 }
 
-TEST(Thomas, StridedVariantMatchesContiguous) {
-  const int n = 10;
-  std::vector<double> packed(static_cast<std::size_t>(3 * n));
-  Rng rng(5);
-  std::vector<double> b(n), a(n), c(n), f(n), x(n);
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    b[u] = i == 0 ? 0.0 : rng.uniform(-1, 1);
-    c[u] = i == n - 1 ? 0.0 : rng.uniform(-1, 1);
-    a[u] = 3.0 + std::abs(b[u]) + std::abs(c[u]);
-    f[u] = rng.uniform(-5, 5);
-    packed[static_cast<std::size_t>(3 * i)] = f[u];
+// solve_lines against thomas_solve on the expanded coefficients, line by
+// line and bit for bit: nlines lines of n cells, cell i of line l at
+// x[l * line_stride + i * stride].
+void expect_lines_match_thomas(int n, int nlines, std::ptrdiff_t stride,
+                               std::ptrdiff_t line_stride) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " nlines=" << nlines
+                                    << " stride=" << stride
+                                    << " line_stride=" << line_stride);
+  const double lo = -1.25, diag = 3.5, up = -0.75;
+  const auto un = static_cast<std::size_t>(n);
+  const auto span = static_cast<std::size_t>(
+      std::max<std::ptrdiff_t>(1, nlines * line_stride + n * stride));
+  Rng rng(static_cast<std::uint64_t>(31 * n + nlines));
+  std::vector<double> x(span);
+  for (auto& v : x) {
+    v = rng.uniform(-10.0, 10.0);
   }
-  thomas_solve(b, a, c, f, x);
-  std::vector<double> xs(static_cast<std::size_t>(3 * n));
-  thomas_solve_strided({b.data(), 1, n}, {a.data(), 1, n}, {c.data(), 1, n},
-                       {packed.data(), 3, n}, {xs.data(), 3, n});
-  for (int i = 0; i < n; ++i) {
-    EXPECT_NEAR(xs[static_cast<std::size_t>(3 * i)],
-                x[static_cast<std::size_t>(i)], 1e-12);
+  std::vector<double> want = x;
+  std::vector<double> b(un, lo), a(un, diag), c(un, up), f(un), line(un);
+  for (int l = 0; l < nlines; ++l) {
+    for (int i = 0; i < n; ++i) {
+      f[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(l * line_stride + i * stride)];
+    }
+    thomas_solve(b, a, c, f, line);
+    for (int i = 0; i < n; ++i) {
+      want[static_cast<std::size_t>(l * line_stride + i * stride)] =
+          line[static_cast<std::size_t>(i)];
+    }
   }
+  ConstTridiag(lo, diag, up, n).solve_lines({{x.data(), stride, n}, line_stride, nlines});
+  // Every cell, solved or not, holds exactly the expected bits.
+  EXPECT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(double)), 0);
+}
+
+class ConstTridiagP : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(ConstTridiagP, ContiguousLinesMatchThomasBitForBit) {
+  const auto [n, nlines] = GetParam();
+  expect_lines_match_thomas(n, nlines, 1, n);      // rows, packed
+  expect_lines_match_thomas(n, nlines, 1, n + 3);  // rows, padded
+}
+
+TEST_P(ConstTridiagP, StridedLinesMatchThomasBitForBit) {
+  const auto [n, nlines] = GetParam();
+  expect_lines_match_thomas(n, nlines, nlines + 1, 1);      // columns
+  expect_lines_match_thomas(n, nlines, 2 * nlines + 3, 2);  // every other column
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ConstTridiagP,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 63, 1024),
+                                            ::testing::Values(0, 1, 7, 16)));
+
+TEST(Thomas, AliasedRightHandSideSolvesInPlace) {
+  const std::size_t n = 63;
+  Rng rng(17);
+  std::vector<double> b, a, c, f;
+  random_dominant_system(rng, n, b, a, c, f);
+  std::vector<double> want(n);
+  thomas_solve(b, a, c, f, want);
+  std::vector<double> x = f;
+  thomas_solve(b, a, c, x, x);
+  EXPECT_EQ(std::memcmp(x.data(), want.data(), n * sizeof(double)), 0);
+
+  const ConstTridiag tri(-1.0, 4.0, -1.0, static_cast<int>(n));
+  std::vector<double> bc(n, -1.0), ac(n, 4.0), cc(n, -1.0);
+  thomas_solve(bc, ac, cc, f, want);
+  x = f;
+  tri.solve(x, x);
+  EXPECT_EQ(std::memcmp(x.data(), want.data(), n * sizeof(double)), 0);
+  std::vector<double> y(n);
+  tri.solve(f, y);
+  EXPECT_EQ(std::memcmp(y.data(), want.data(), n * sizeof(double)), 0);
+}
+
+TEST(Thomas, ConstFactorizationRejectsZeroPivot) {
+  // diag 0: the first pivot; 1, 1, 1: the second (1 - 1 * 1/1).
+  for (const auto& [lo, diag, up] :
+       {std::tuple{1.0, 0.0, 1.0}, std::tuple{1.0, 1.0, 1.0}}) {
+    try {
+      const ConstTridiag tri(lo, diag, up, 4);
+      ADD_FAILURE() << "no throw for diag " << diag;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("thomas: zero pivot"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(ConstTridiag(-1.0, 4.0, -1.0, 0), Error);
+}
+
+TEST(Thomas, ConstFactorizationRejectsSizeMismatch) {
+  const ConstTridiag tri(-1.0, 4.0, -1.0, 5);
+  std::vector<double> f(4), x(5), cells(10);
+  EXPECT_THROW(tri.solve(f, x), Error);
+  EXPECT_THROW(tri.solve_lines({{cells.data(), 1, 4}, 4, 2}), Error);
 }
 
 TEST(Thomas, SizeMismatchThrows) {
