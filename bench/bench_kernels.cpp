@@ -45,25 +45,25 @@ void BM_Thomas(benchmark::State& state) {
 }
 BENCHMARK(BM_Thomas)->Arg(256)->Arg(4096)->Arg(65536);
 
-/// 16 constant-coefficient lines of 1024 solved as one batch, in place:
+/// 16 constant-coefficient lines of 1024 solved by one solve_lines call:
 /// contiguous rows (arg 0) or interleaved columns of stride 16 (arg 1).
+/// Each iteration re-solves the previous solution, with no reset to time:
+/// the eigenvalues of tridiag(-0.25, 1.5, -0.25) lie in (1, 2), so a
+/// re-solve never grows the values and shrinks the smoothest mode by
+/// less than 1e-5, far from subnormals for any run length.
 void BM_ThomasLines(benchmark::State& state) {
   constexpr int kN = 1024, kLines = 16;
   const bool columns = state.range(0) != 0;
   Rng rng(5);
-  std::vector<double> rhs(static_cast<std::size_t>(kN * kLines));
-  for (auto& v : rhs) {
+  std::vector<double> x(static_cast<std::size_t>(kN * kLines));
+  for (auto& v : x) {
     v = rng.uniform(-10, 10);
   }
-  std::vector<double> x(rhs.size());
-  const ConstTridiag tri(-1.0, 4.0, -1.0, kN);
+  const ConstTridiag tri(-0.25, 1.5, -0.25, kN);
   const StridedLines<double> lines =
       columns ? StridedLines<double>{{x.data(), kLines, kN}, 1, kLines}
               : StridedLines<double>{{x.data(), 1, kN}, kN, kLines};
   for (auto _ : state) {
-    state.PauseTiming();
-    x = rhs;
-    state.ResumeTiming();
     tri.solve_lines(lines);
     benchmark::DoNotOptimize(x.data());
   }

@@ -1,6 +1,7 @@
 #include "kernels/thomas.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "support/check.hpp"
 
@@ -59,12 +60,23 @@ void ConstTridiag::solve_lines(const StridedLines<double>& x) const {
     return;
   }
   KALI_CHECK(x.first.n == size(), "thomas: size mismatch");
-  const std::ptrdiff_t s = x.first.stride;
-  const std::ptrdiff_t ls = x.line_stride;
-  const std::ptrdiff_t count = x.count;
+  // Lines a cache line or more apart (the rows of a row-major slab) each
+  // hold their own cache line at every step, and when the line stride is
+  // a multiple of the L1 way size (rows of 1024 doubles) all those lines
+  // fall in one L1 set: more lines than the set has ways evict each other
+  // at every step.  Such batches are swept 8 lines at a time.
+  const std::ptrdiff_t group = std::abs(x.line_stride) >= 8 ? 8 : x.count;
+  for (std::ptrdiff_t l0 = 0; l0 < x.count; l0 += group) {
+    sweep(x.first.data + l0 * x.line_stride, x.first.stride, x.line_stride,
+          std::min<std::ptrdiff_t>(group, x.count - l0));
+  }
+}
+
+void ConstTridiag::sweep(double* x, std::ptrdiff_t s, std::ptrdiff_t ls,
+                         std::ptrdiff_t count) const {
   const std::size_t n = denom_.size();
   // Forward sweep: x[0] /= denom[0], x[i] = (x[i] - lo x[i-1]) / denom[i].
-  double* xi = x.first.data;
+  double* xi = x;
   for (std::ptrdiff_t l = 0; l < count; ++l) {
     xi[l * ls] /= denom_[0];
   }

@@ -2,6 +2,7 @@
 // `seqtri` kernel and the root solve of the substructured algorithm.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -38,10 +39,15 @@ class ConstTridiag {
 
   /// Solve every line of x in place (each holds its right-hand side on
   /// entry), with the loop over lines innermost in both sweeps, so the
-  /// lines' independent division chains overlap.  x.count may be 0.
+  /// lines' independent division chains overlap.  Lines 8 or more
+  /// elements apart are swept in groups of 8.  x.count may be 0.
   void solve_lines(const StridedLines<double>& x) const;
 
  private:
+  /// Both sweeps over `count` lines from x: element stride s, line stride ls.
+  void sweep(double* x, std::ptrdiff_t s, std::ptrdiff_t ls,
+             std::ptrdiff_t count) const;
+
   double lo_;
   std::vector<double> cp_;
   std::vector<double> denom_;

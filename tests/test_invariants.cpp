@@ -335,8 +335,8 @@ TEST(Invariants, WindowAccessOutsideItsBoxIsCaught) {
   });
 }
 
+// A regression test: the batch's corner check runs in every build.
 TEST(Invariants, BatchLineOverrunningItsBoxIsCaught) {
-  SKIP_WITHOUT_INVARIANTS();
   Machine m(1, quiet_config());
   m.run([](Context& ctx) {
     DistArray2<double> a(ctx, ProcView::grid1(1), {6, 5},
@@ -349,6 +349,11 @@ TEST(Invariants, BatchLineOverrunningItsBoxIsCaught) {
     EXPECT_THROW((void)w.lines({1, 1}, 0, 5, 1, 2, 2), Error);
     // The third line (j = 5) starts outside the box.
     EXPECT_THROW((void)w.lines({1, 1}, 0, 4, 1, 2, 3), Error);
+    // Stepping down from j = 3: j = 1 is inside, j = -1 is not.
+    EXPECT_NO_THROW((void)w.lines({1, 3}, 0, 4, 1, -2, 2));
+    EXPECT_THROW((void)w.lines({1, 3}, 0, 4, 1, -2, 3), Error);
+    // Lines stepped along their own dim are not a batch.
+    EXPECT_THROW((void)w.lines({1, 1}, 0, 2, 0, 2, 2), Error);
   });
 }
 
